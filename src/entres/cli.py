@@ -17,9 +17,10 @@ import sys
 from dataclasses import dataclass
 from typing import IO, Hashable, Mapping
 
-from .engine import EngineConfig, run
-from .pair_index import RecordStore, build_index
+from .engine import EngineConfig, ResolutionEngine
+from .pair_index import RecordStore
 from .records import AttrOrigin, Field, SuperRecord, normalize_value
+from .schema_vote import write_matchings_jsonl
 
 
 class InputError(ValueError):
@@ -57,6 +58,12 @@ class EvalReport:
 
 
 def record_from_doc(doc: dict, rid: int, lineno: int = 0) -> tuple[str, SuperRecord]:
+    """Parse one input document into a basic record.
+
+    Values are normalized; JSON ``null`` and values blank after
+    normalization are dropped, since an absent value is no evidence that
+    two records agree.  A field left without values is dropped too.
+    """
     where = f"line {lineno}: " if lineno else ""
     try:
         ext_id = str(doc["id"])
@@ -81,13 +88,15 @@ def record_from_doc(doc: dict, rid: int, lineno: int = 0) -> tuple[str, SuperRec
         seen_attrs.add(attr)
         if not isinstance(values, list) or not values:
             raise InputError(f"{where}field {attr!r} needs at least one value")
-        origin = AttrOrigin(source=source, attr=attr)
         normalized: list[str] = []
         for v in values:
-            nv = normalize_value(str(v))
-            if nv not in normalized:
+            nv = "" if v is None else normalize_value(str(v))
+            if nv and nv not in normalized:
                 normalized.append(nv)
-        items.append((origin, normalized))
+        if normalized:
+            items.append((AttrOrigin(source=source, attr=attr), normalized))
+    if not items:
+        raise InputError(f"{where}record has no value left after dropping blank and null ones")
     rec = SuperRecord(
         rid=rid,
         fields=[Field(values=vals, origins=frozenset([origin])) for origin, vals in items],
@@ -201,25 +210,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if not (0.0 < args.delta <= 1.0):
-        parser.error("--delta must lie in (0, 1]")
-    if not (0.0 < args.xi <= 1.0):
-        parser.error("--xi must lie in (0, 1]")
-    if args.q < 1:
-        parser.error("--q must be >= 1")
-    if not (0.0 < args.rho < 1.0):
-        parser.error("--rho must lie in (0, 1)")
-    if not (0.5 < args.prior <= 1.0):
-        parser.error("--prior must lie in (0.5, 1]")
-    if args.max_iters is not None and args.max_iters < 1:
-        parser.error("--max-iters must be >= 1")
-
-    try:
-        parsed = parse_input(args.input)
-    except (OSError, InputError) as exc:
-        print(f"entres: {exc}", file=sys.stderr)
-        return 1
-
     config = EngineConfig(
         delta=args.delta,
         xi=args.xi,
@@ -228,13 +218,23 @@ def main(argv: list[str] | None = None) -> int:
         prior=args.prior,
         max_iterations=args.max_iters,
     )
+    try:
+        config.validate()
+    except ValueError as exc:
+        parser.error(str(exc))
 
+    try:
+        parsed = parse_input(args.input)
+    except (OSError, InputError) as exc:
+        print(f"entres: {exc}", file=sys.stderr)
+        return 1
+
+    engine = ResolutionEngine(parsed.store, config)
     if args.dump_index:
-        index = build_index(parsed.store, config.xi, config.q)
         with open(args.dump_index, "w", encoding="utf-8") as fp:
-            index.dump_jsonl(fp)
+            engine.index.dump_jsonl(fp)
 
-    result = run(parsed.store, config)
+    result = engine.run()
     if not result.converged:
         print(
             f"entres: warning: no fixpoint within {result.iterations} iterations; "
@@ -255,24 +255,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.emit_matchings:
         with open(args.emit_matchings, "w", encoding="utf-8") as fp:
-            seen_pairs = set()
-            for promo in result.promoted:
-                if promo.as_pair() in seen_pairs:
-                    continue
-                seen_pairs.add(promo.as_pair())
-                fp.write(
-                    json.dumps(
-                        {
-                            "source_a": promo.a.source,
-                            "attr_a": promo.a.attr,
-                            "source_b": promo.b.source,
-                            "attr_b": promo.b.attr,
-                            "votes": promo.votes,
-                            "p_error_upper": promo.p_error_upper,
-                        }
-                    )
-                    + "\n"
-                )
+            write_matchings_jsonl(result.promoted, fp)
 
     if args.ground_truth:
         try:

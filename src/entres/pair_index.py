@@ -5,16 +5,17 @@ maintenance under record merges.
 The index holds every cross-record value pair with similarity >= xi,
 oriented so the smaller rid comes first and ordered by (rid_1 asc,
 rid_2 asc, similarity desc).  Internally the sequence is kept as runs --
-one sorted list per (rid_1, rid_2) -- behind a sorted key list, so range
-lookup is a binary search over the keys and a merge touches only the runs
-of the two records involved.
+one sorted list per (rid_1, rid_2) in a dict -- so range lookup is one
+dict lookup, a merge touches only the runs of the two records involved,
+and whole-index scans visit the keys in sorted order.
 """
 
 from __future__ import annotations
 
-import bisect
+import itertools
 import json
-from collections import defaultdict
+import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Mapping
 
@@ -66,7 +67,6 @@ class ValuePairIndex:
         self.xi = xi
         self.q = q
         self._runs: dict[tuple[int, int], list[IndexedPair]] = {}
-        self._run_keys: list[tuple[int, int]] = []
         self._keys_by_rid: dict[int, set[tuple[int, int]]] = defaultdict(set)
 
     # -- construction -----------------------------------------------------
@@ -92,7 +92,6 @@ class ValuePairIndex:
         run = self._runs.get(key)
         if run is None:
             self._runs[key] = [pair]
-            bisect.insort(self._run_keys, key)
             self._keys_by_rid[key[0]].add(key)
             self._keys_by_rid[key[1]].add(key)
         else:
@@ -104,17 +103,10 @@ class ValuePairIndex:
         return sum(len(run) for run in self._runs.values())
 
     def lookup_range(self, i: int, j: int) -> tuple[IndexedPair, ...]:
-        """All pairs between records ``i`` and ``j`` (``i < j``), best first.
-
-        The run is located by binary search over the sorted key sequence
-        (rid_1 first, rid_2 within the rid_1 run).
-        """
+        """All pairs between records ``i`` and ``j`` (``i < j``), best first."""
         if i >= j:
             raise ValueError("lookup requires i < j")
-        pos = bisect.bisect_left(self._run_keys, (i, j))
-        if pos < len(self._run_keys) and self._run_keys[pos] == (i, j):
-            return tuple(self._runs[(i, j)])
-        return ()
+        return tuple(self._runs.get((i, j), ()))
 
     def cal_bound(self, i: int, j: int) -> BoundResult:
         """Upper/lower bound of the record similarity of (i, j).
@@ -171,7 +163,7 @@ class ValuePairIndex:
             raise ValueError("delta must lie in [0, 1]")
         candidates: list[tuple[int, int]] = []
         direct: list[tuple[tuple[int, int], float]] = []
-        for key in self._run_keys:
+        for key in sorted(self._runs):
             bound = self.cal_bound(*key)
             if bound.up < delta:
                 continue
@@ -202,8 +194,6 @@ class ValuePairIndex:
         buckets: dict[tuple[int, int], list[IndexedPair]] = defaultdict(list)
         for key in affected:
             run = self._runs.pop(key)
-            pos = bisect.bisect_left(self._run_keys, key)
-            del self._run_keys[pos]
             self._keys_by_rid[key[0]].discard(key)
             self._keys_by_rid[key[1]].discard(key)
             if set(key) == {i, j}:
@@ -222,7 +212,6 @@ class ValuePairIndex:
                     best[lkey] = pair
             merged = sorted(best.values(), key=IndexedPair.run_order)
             self._runs[key] = merged
-            bisect.insort(self._run_keys, key)
             self._keys_by_rid[key[0]].add(key)
             self._keys_by_rid[key[1]].add(key)
 
@@ -230,7 +219,7 @@ class ValuePairIndex:
 
     def iter_pairs(self) -> Iterator[IndexedPair]:
         """All pairs in index order (rid_1 asc, rid_2 asc, sim desc)."""
-        for key in self._run_keys:
+        for key in sorted(self._runs):
             yield from self._runs[key]
 
     def rows(self) -> Iterator[tuple[int, ValueLabel, ValueLabel, float]]:
@@ -249,12 +238,7 @@ class ValuePairIndex:
 
     def check_sorted(self) -> bool:
         """Full-scan assertion of the index sort invariant (test hook)."""
-        prev_key = None
-        for key in self._run_keys:
-            if prev_key is not None and key <= prev_key:
-                return False
-            prev_key = key
-            run = self._runs[key]
+        for key, run in self._runs.items():
             for a, b in zip(run, run[1:]):
                 if a.run_order() > b.run_order():
                     return False
@@ -264,53 +248,84 @@ class ValuePairIndex:
         return True
 
 
+def _min_overlap(size: int, xi: float) -> int:
+    """Fewest shared grams a set of ``size`` grams needs with any partner
+    whose ``gram_jaccard`` reaches ``xi``.
+
+    Jaccard >= xi needs overlap >= xi * |union| >= xi * size.  The float
+    score may round up onto ``xi`` from just below it, and ``size * xi``
+    may round up past an integer, so the bound is lowered by a relative
+    1e-12: far above double rounding error, and a lower bound only admits
+    more candidates.
+    """
+    return math.ceil(size * xi * (1.0 - 1e-12))
+
+
+def _similar_gram_sets(
+    sets: list[frozenset[str]], xi: float
+) -> Iterator[tuple[int, int, float]]:
+    """Positions ``(a, b, sim)`` of every pair of distinct non-empty gram
+    sets with ``gram_jaccard >= xi`` (AllPairs: prefix and size filtering).
+
+    Grams are ranked rarest first, which keeps posting lists short.  Any
+    two sets reaching ``xi`` share a gram within each one's first
+    ``|g| - _min_overlap(|g|) + 1`` ranked grams: their lowest-ranked
+    common gram is followed, in both, by at least ``_min_overlap - 1``
+    more common grams.  Sets are visited by increasing size, each probes the
+    inverted list of its prefix grams and is then added to it, so every
+    qualifying pair is met once, when its larger set probes.  A partner
+    smaller than ``_min_overlap`` of the probing set cannot qualify and is
+    not scored.
+    """
+    freq = Counter(gram for g in sets for gram in g)
+    rank = {gram: r for r, gram in enumerate(sorted(freq, key=lambda gram: (freq[gram], gram)))}
+    postings: dict[int, list[int]] = defaultdict(list)
+    for b in sorted((pos for pos, g in enumerate(sets) if g), key=lambda pos: len(sets[pos])):
+        g = sets[b]
+        need = _min_overlap(len(g), xi)
+        seen: set[int] = set()
+        for r in sorted(rank[gram] for gram in g)[: len(g) - need + 1]:
+            for a in postings[r]:
+                if a in seen:
+                    continue
+                seen.add(a)
+                if len(sets[a]) < need:
+                    continue
+                sim = gram_jaccard(sets[a], g)
+                if sim >= xi:
+                    yield a, b, sim
+            postings[r].append(b)
+
+
 def build_index(store: RecordStore, xi: float, q: int = DEFAULT_Q) -> ValuePairIndex:
     """Similarity join over every value in ``store``: index all cross-record
     value pairs with simv >= xi.
 
-    Uses a q-gram inverted list so only value pairs sharing at least one
-    gram are verified (any pair with positive Jaccard shares a gram).
+    Similarity depends on a value only through its gram set, so labels are
+    grouped by gram set and only the distinct sets are joined (see
+    :func:`_similar_gram_sets`).  Labels sharing a set pair at
+    ``gram_jaccard(g, g)`` (1.0); each similar set pair expands to all its
+    cross-record label pairs.
     """
     index = ValuePairIndex(store, xi, q)
-    labels: list[ValueLabel] = []
-    values: list[str] = []
-    grams: list[frozenset[str]] = []
+    groups: dict[frozenset[str], list[ValueLabel]] = defaultdict(list)
     for rid in sorted(store):
-        rec = store[rid]
-        for fid, fld in enumerate(rec.fields, 1):
+        for fid, fld in enumerate(store[rid].fields, 1):
             for vid, v in enumerate(fld.values, 1):
-                labels.append(ValueLabel(rid, fid, vid))
-                values.append(v)
-                grams.append(qgrams(v, q))
+                groups[qgrams(v, q)].append(ValueLabel(rid, fid, vid))
 
-    postings: dict[str, list[int]] = defaultdict(list)
-    empties: list[int] = []
-    for idx, g in enumerate(grams):
-        if not g:
-            empties.append(idx)
-            continue
-        for gram in g:
-            postings[gram].append(idx)
-
-    for idx, g in enumerate(grams):
-        if not g:
-            continue
-        seen: set[int] = set()
-        for gram in g:
-            for jdx in postings[gram]:
-                if jdx <= idx or jdx in seen:
-                    continue
-                seen.add(jdx)
-                if labels[jdx].rid == labels[idx].rid:
-                    continue
-                sim = gram_jaccard(g, grams[jdx])
-                if sim >= xi:
-                    index._insert(_oriented(labels[idx], labels[jdx], sim))
-    # empty strings all have empty gram sets and are pairwise identical
-    for a_pos, idx in enumerate(empties):
-        for jdx in empties[a_pos + 1 :]:
-            if labels[jdx].rid != labels[idx].rid:
-                index._insert(_oriented(labels[idx], labels[jdx], 1.0))
+    for g, labels in groups.items():
+        if len(labels) > 1:
+            sim = gram_jaccard(g, g)
+            for left, right in itertools.combinations(labels, 2):
+                if left.rid != right.rid:
+                    index._insert(_oriented(left, right, sim))
+    sets = list(groups)
+    for a, b, sim in _similar_gram_sets(sets, xi):
+        for left in groups[sets[a]]:
+            for right in groups[sets[b]]:
+                if left.rid != right.rid:
+                    index._insert(_oriented(left, right, sim))
 
     for run in index._runs.values():
         run.sort(key=IndexedPair.run_order)

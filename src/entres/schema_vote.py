@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Iterator
+from typing import IO, Iterable
 
 from .records import AttrOrigin
 
@@ -115,22 +115,25 @@ class SchemaVoteLedger:
                 out.append(pair)
         return out
 
-    def iter_export(self) -> Iterator[dict]:
-        seen: set[frozenset[AttrOrigin]] = set()
-        for promo in self._promoted.values():
-            pair = promo.as_pair()
-            if pair in seen:
-                continue
-            seen.add(pair)
-            yield {
-                "source_a": promo.a.source,
-                "attr_a": promo.a.attr,
-                "source_b": promo.b.source,
-                "attr_b": promo.b.attr,
-                "votes": promo.votes,
-                "p_error_upper": promo.p_error_upper,
-            }
-
     def export_jsonl(self, fp: IO[str]) -> None:
-        for row in self.iter_export():
-            fp.write(json.dumps(row) + "\n")
+        write_matchings_jsonl(self._promoted.values(), fp)
+
+
+def write_matchings_jsonl(promoted: Iterable[PromotedMatching], fp: IO[str]) -> None:
+    """One JSON line per distinct promoted attribute pair (unordered), in
+    promotion order."""
+    seen: set[frozenset[AttrOrigin]] = set()
+    for promo in promoted:
+        pair = promo.as_pair()
+        if pair in seen:
+            continue
+        seen.add(pair)
+        row = {
+            "source_a": promo.a.source,
+            "attr_a": promo.a.attr,
+            "source_b": promo.b.source,
+            "attr_b": promo.b.attr,
+            "votes": promo.votes,
+            "p_error_upper": promo.p_error_upper,
+        }
+        fp.write(json.dumps(row) + "\n")

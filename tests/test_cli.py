@@ -1,8 +1,12 @@
+import io
 import itertools
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entres.cli import (
     InputError,
@@ -11,7 +15,11 @@ from entres.cli import (
     main,
     parse_input,
 )
+from entres.pair_index import build_index
 from tests.conftest import CUSTOMERS, CUSTOMERS_GOLD
+
+# four unrelated people whose only shared "values" are blank or null phones
+BLANK_AND_NULL = Path(__file__).resolve().parent / "data" / "blank_and_null.jsonl"
 
 
 def write_jsonl(path, docs):
@@ -80,6 +88,22 @@ class TestParseInput:
         write_jsonl(p, [doc("a", name=["Bush", "  bush "])])
         parsed = parse_input(str(p))
         assert parsed.store[1].fields[0].values == ["bush"]
+
+    def test_blank_and_null_values_dropped(self):
+        parsed = parse_input(str(BLANK_AND_NULL))
+        for rec in parsed.store.values():
+            assert [o.attr for fld in rec.fields for o in fld.origins] in (["name"], ["customer"])
+
+    def test_blank_values_dropped_within_field(self, tmp_path):
+        p = tmp_path / "r.jsonl"
+        write_jsonl(p, [doc("a", name=["Bush", " ", None, ""], phone=[None])])
+        assert [f.values for f in parse_input(str(p)).store[1].fields] == [["bush"]]
+
+    def test_record_without_values_rejected(self, tmp_path):
+        p = tmp_path / "bad.jsonl"
+        write_jsonl(p, [doc("a", name="x"), doc("b", name=" ", phone=[None, "\t"])])
+        with pytest.raises(InputError, match="line 2: record has no value"):
+            parse_input(str(p))
 
 
 def brute_force_eval(labels, gold):
@@ -198,7 +222,46 @@ class TestMain:
             main(["--input", str(CUSTOMERS), "--delta", "1.5"])
         assert exc.value.code == 2
 
+    def test_blank_and_null_values_do_not_merge(self, capsys):
+        assert main(["--input", str(BLANK_AND_NULL)]) == 0
+        lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert {l["id"]: l["entity"] for l in lines} == {k: k for k in "abcd"}
+
+    def test_dump_index_is_the_resolved_index(self, tmp_path, capsys):
+        dump = tmp_path / "index.jsonl"
+        main(["--input", str(CUSTOMERS), "--out", str(tmp_path / "l.jsonl"),
+              "--xi", "0.6", "--q", "3", "--dump-index", str(dump)])
+        buf = io.StringIO()
+        build_index(parse_input(str(CUSTOMERS)).store, 0.6, 3).dump_jsonl(buf)
+        assert dump.read_text() == buf.getvalue()
+
     def test_non_convergence_warning(self, tmp_path, capsys):
         main(["--input", str(CUSTOMERS), "--out", str(tmp_path / "l.jsonl"),
               "--max-iters", "1"])
         assert "no fixpoint" in capsys.readouterr().err
+
+
+blank_values = st.lists(st.sampled_from(["", " ", "\t\n", "\u00a0", None]), min_size=1, max_size=3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    names=st.lists(st.sampled_from(["bush", "bushe", "chicago", "chicag", "jon", "john"]),
+                   min_size=1, max_size=8),
+    extra=st.lists(st.tuples(st.integers(0, 7), blank_values), max_size=6),
+)
+def test_blank_only_fields_leave_labels_unchanged(names, extra):
+    """Adding blank-only or null-only fields to any input file leaves the
+    labels unchanged."""
+    docs = [doc(f"r{i}", source=f"s{i % 2}", name=n, city=n[::-1]) for i, n in enumerate(names)]
+    padded = json.loads(json.dumps(docs))
+    for k, (target, values) in enumerate(extra):
+        padded[target % len(padded)]["fields"].append({"attr": f"blank{k}", "values": values})
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = []
+        for i, records in enumerate((docs, padded)):
+            path = Path(tmp) / f"in{i}.jsonl"
+            write_jsonl(path, records)
+            assert main(["--input", str(path), "--out", str(Path(tmp) / f"out{i}.jsonl")]) == 0
+            outputs.append(load_labels(str(Path(tmp) / f"out{i}.jsonl")))
+    assert outputs[0] == outputs[1]

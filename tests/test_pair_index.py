@@ -1,18 +1,24 @@
 import io
 import json
 import random
+import string
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from entres.engine import EngineConfig, ResolutionEngine
 from entres.pair_index import ValuePairIndex, build_index
 from entres.records import (
     AttrOrigin,
     EntityForest,
+    Field,
+    SuperRecord,
     ValueLabel,
     basic_record,
     merge_super_records,
 )
-from entres.similarity import simv
+from entres.similarity import gram_jaccard, qgrams
+from entres.synth import clustered_corpus, split_attribute_corpus
 from tests.conftest import random_store
 
 XI = 0.5
@@ -24,17 +30,52 @@ def brute_force_pairs(store, xi, q=2):
     for rid, rec in store.items():
         for fid, fld in enumerate(rec.fields, 1):
             for vid, v in enumerate(fld.values, 1):
-                labels.append((ValueLabel(rid, fid, vid), v))
+                labels.append((ValueLabel(rid, fid, vid), qgrams(v, q)))
     out = set()
-    for a, (la, va) in enumerate(labels):
-        for lb, vb in labels[a + 1 :]:
+    for a, (la, ga) in enumerate(labels):
+        for lb, gb in labels[a + 1 :]:
             if la.rid == lb.rid:
                 continue
-            s = simv(va, vb, q)
+            s = gram_jaccard(ga, gb)  # simv on the two values
             if s >= xi:
                 left, right = (la, lb) if la.rid < lb.rid else (lb, la)
-                out.add((left, right, round(s, 9)))
+                out.add((left, right, s))
     return out
+
+
+# numerator and denominator of each xi tried, for values scoring exactly xi;
+# 25 * 0.28 rounds to 7.000000000000001, so a ceil(xi * size) bound would
+# wrongly demand 8 shared grams of a 25-gram set
+XI_RATIOS = {1 / 3: (1, 3), 0.5: (1, 2), 0.6: (3, 5), 2 / 3: (2, 3), 0.7: (7, 10), 1.0: (1, 1),
+             0.28: (7, 25)}
+
+
+@st.composite
+def join_cases(draw):
+    """Small stores full of empty values, values shorter than q and values
+    repeated within and across records, plus two values whose gram sets
+    score exactly xi: prefixes of a run of distinct letters, holding
+    k*num and k*den grams, the first set inside the second."""
+    q = draw(st.integers(1, 3))
+    xi = draw(st.sampled_from(sorted(XI_RATIOS)))
+    num, den = XI_RATIOS[xi]
+    k = draw(st.integers(1, 2))
+    letters = string.ascii_letters
+    on_xi = [letters[: k * num + q - 1], letters[: k * den + q - 1]]
+    vocab = on_xi + ["", "a", "b", "ab", "ba", "aab", "abab", "bab", "abc"]
+    value = st.one_of(st.sampled_from(vocab), st.text("abc", max_size=5))
+    field_values = st.lists(value, min_size=1, max_size=3, unique=True)
+    records = draw(st.lists(st.lists(field_values, min_size=1, max_size=3), min_size=2, max_size=7))
+    store = {
+        rid: SuperRecord(
+            rid=rid,
+            fields=[Field(values=vals, origins=[AttrOrigin(f"s{rid}", f"a{fid}")])
+                    for fid, vals in enumerate(fields)],
+            members=[rid],
+        )
+        for rid, fields in enumerate(records, 1)
+    }
+    return store, xi, q
 
 
 class TestConstruction:
@@ -66,9 +107,37 @@ class TestConstruction:
         for trial in range(10):
             store = random_store(rng, rng.randint(2, 12))
             index = build_index(store, XI)
-            got = {(p.left, p.right, round(p.sim, 9)) for p in index.iter_pairs()}
+            got = {(p.left, p.right, p.sim) for p in index.iter_pairs()}
             assert got == brute_force_pairs(store, XI)
             assert index.check_sorted()
+
+    @settings(max_examples=250, deadline=None)
+    @given(join_cases())
+    def test_matches_nested_loop_join_on_edge_values(self, case):
+        store, xi, q = case
+        index = build_index(store, xi, q)
+        pairs = list(index.iter_pairs())
+        assert {(p.left, p.right, p.sim) for p in pairs} == brute_force_pairs(store, xi, q)
+        assert len(pairs) == len(index)
+        assert index.check_sorted()
+        keys = [(p.left.rid, p.right.rid) for p in pairs]
+        assert keys == sorted(keys)
+
+    @pytest.mark.parametrize(
+        "store", [clustered_corpus(30, 8)[0], split_attribute_corpus(40)[0]],
+        ids=["clustered", "split_attribute"],
+    )
+    def test_engine_same_with_nested_loop_index(self, store):
+        config = EngineConfig()
+        joined = ResolutionEngine(store, config)
+        oracle = ResolutionEngine(store, config)
+        oracle.index = ValuePairIndex.from_pairs(
+            oracle.store, brute_force_pairs(store, config.xi, config.q), config.xi, config.q
+        )
+        assert list(joined.index.iter_pairs()) == list(oracle.index.iter_pairs())
+        got, want = joined.run(), oracle.run()
+        assert got.labels == want.labels
+        assert got.merge_history == want.merge_history
 
     def test_empty_values_pair_at_one(self):
         a = basic_record(1, [(AttrOrigin("s1", "x"), "")])
