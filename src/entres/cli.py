@@ -63,6 +63,10 @@ def record_from_doc(doc: dict, rid: int, lineno: int = 0) -> tuple[str, SuperRec
     Values are normalized; JSON ``null`` and values blank after
     normalization are dropped, since an absent value is no evidence that
     two records agree.  A field left without values is dropped too.
+    Numbers and booleans are taken as their JSON text (``1``, ``1.5``,
+    ``true``); a list or an object as a value is rejected.  Two attributes
+    of one record whose names are equal ignoring case are rejected as a
+    repeated attribute.
     """
     where = f"line {lineno}: " if lineno else ""
     try:
@@ -81,15 +85,23 @@ def record_from_doc(doc: dict, rid: int, lineno: int = 0) -> tuple[str, SuperRec
             values = fld["values"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"{where}malformed field entry: {exc}") from exc
-        if attr in seen_attrs:
+        attr_key = attr.casefold()
+        if attr_key in seen_attrs:
             raise InputError(
-                f"{where}attribute {attr!r} repeated; one schema holds no redundant attributes"
+                f"{where}attribute {attr!r} repeated (names are compared ignoring case); "
+                "one schema holds no redundant attributes"
             )
-        seen_attrs.add(attr)
+        seen_attrs.add(attr_key)
         if not isinstance(values, list) or not values:
             raise InputError(f"{where}field {attr!r} needs at least one value")
         normalized: list[str] = []
         for v in values:
+            # str() of a number or a boolean case-folds to its JSON text
+            if v is not None and not isinstance(v, (str, int, float)):
+                kind = "an object" if isinstance(v, dict) else f"a {type(v).__name__}"
+                raise InputError(
+                    f"{where}field {attr!r} holds {kind}; a value must be a string, number or boolean"
+                )
             nv = "" if v is None else normalize_value(str(v))
             if nv and nv not in normalized:
                 normalized.append(nv)

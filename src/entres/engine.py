@@ -121,7 +121,7 @@ class ResolutionEngine:
             if (ri, rj) in seen:
                 continue
             seen.add((ri, rj))
-            result = verify_pair(self.index, ri, rj, self.ledger.promoted_pairs())
+            result = verify_pair(self.index, ri, rj, self.ledger.partners)
             if result.sim < cfg.delta:
                 continue
             for a, b in result.predictions:

@@ -1,24 +1,30 @@
 """Instance-based verification of a candidate record pair.
 
 The refined field set of a record pair forms a weighted bipartite graph
-over field indices.  Degree-1/degree-1 edges are settled without search
-(mapped edges); promoted schema matchings are honored as forced edges;
-the residual conflict graph goes through a Kuhn-Munkres maximum-weight
-assignment.  The union of the three edge sets is the field matching.
+over field indices.  Promoted schema matchings are honored first, as
+forced edges: a field pair is forced when the two fields carry the two
+attributes of a promotion, which is read off the ledger's partner map
+(``AttrOrigin -> set of promoted counterparts``) by lookup.  Of what is
+left, degree-1/degree-1 edges are settled without search (mapped edges),
+and the residual conflict graph goes through a Kuhn-Munkres
+maximum-weight assignment.  The union of the three edge sets is the
+field matching.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from types import MappingProxyType
+from typing import AbstractSet, Iterable, Mapping
 
 from .pair_index import ValuePairIndex
 from .records import AttrOrigin
 from .similarity import FieldMatchingSet, record_sim, simf
 
 _EPS = 1e-9
+
+Partners = Mapping[AttrOrigin, AbstractSet[AttrOrigin]]
+_NO_PARTNERS: Partners = MappingProxyType({})
 
 
 class ForcedPairConflictError(ValueError):
@@ -83,16 +89,16 @@ def build_graph(
     return graph, sorted(mapped)
 
 
-def _km_square(weight: np.ndarray) -> list[int]:
-    """Kuhn-Munkres on a square nonnegative matrix.
+def _km_square(weight: list[list[float]]) -> list[int]:
+    """Kuhn-Munkres on a square nonnegative matrix given as rows.
 
     Returns ``link`` with ``link[y] = x`` for the maximum-weight perfect
     assignment.  Vertices are scanned in ascending order, so ties resolve
     deterministically.
     """
-    n = weight.shape[0]
-    lx = weight.max(axis=1).astype(float)
-    ly = np.zeros(n)
+    n = len(weight)
+    lx = [max(row) for row in weight]
+    ly = [0.0] * n
     link = [-1] * n
 
     for x in range(n):
@@ -106,7 +112,7 @@ def _km_square(weight: np.ndarray) -> list[int]:
                 for y in range(n):
                     if visy[y]:
                         continue
-                    gap = lx[u] + ly[y] - weight[u, y]
+                    gap = lx[u] + ly[y] - weight[u][y]
                     if gap < _EPS:
                         visy[y] = True
                         if link[y] == -1 or dfs(link[y]):
@@ -129,6 +135,7 @@ def _km_square(weight: np.ndarray) -> list[int]:
                     slack[y] -= d
     return link
 
+
 def km_max_weight(graph: FieldMatchGraph) -> tuple[list[tuple[int, int, float]], float]:
     """Maximum-weight matching of the (possibly unbalanced) graph.
 
@@ -138,12 +145,12 @@ def km_max_weight(graph: FieldMatchGraph) -> tuple[list[tuple[int, int, float]],
     if graph.is_empty:
         return [], 0.0
     n = max(len(graph.left), len(graph.right))
-    weight = np.zeros((n, n))
+    weight = [[0.0] * n for _ in range(n)]
     lpos = {lf: i for i, lf in enumerate(graph.left)}
     rpos = {rf: i for i, rf in enumerate(graph.right)}
     w_of = {}
     for lf, rf, s in graph.edges:
-        weight[lpos[lf], rpos[rf]] = s
+        weight[lpos[lf]][rpos[rf]] = s
         w_of[(lf, rf)] = s
     link = _km_square(weight)
     matching = []
@@ -160,30 +167,32 @@ def resolve_forced_pairs(
     index: ValuePairIndex,
     i: int,
     j: int,
-    promoted: Iterable[frozenset[AttrOrigin]],
+    partners: Partners,
 ) -> list[tuple[int, int, float]]:
     """Map promoted attribute matchings onto field pairs of (i, j).
 
-    A field pair is forced when one field carries one attribute of a
-    promoted pair and the other field carries its counterpart.  Should two
+    ``partners`` is the ledger's symmetric partner map.  A field pair is
+    forced when one of the left field's origins has a promoted partner
+    among the right field's origins: each left field gathers the partners
+    of its origins, and a right field is forced with it iff that set meets
+    the right field's origins.  Only forced pairs are scored.  Should two
     forced pairs collide on a field (possible once merged fields hold
     several origins), the higher-similarity pair wins, lowest field
     indices first.
     """
-    promoted = list(promoted)
-    if not promoted:
+    if not partners:
         return []
     a, b = index.store[i], index.store[j]
     raw: list[tuple[float, int, int]] = []
     for lf, lfield in enumerate(a.fields, 1):
+        wanted: set[AttrOrigin] = set()
+        for origin in lfield.origins:
+            wanted.update(partners.get(origin, ()))
+        if not wanted:
+            continue
         for rf, rfield in enumerate(b.fields, 1):
-            for pair in promoted:
-                one, two = tuple(pair)
-                if (one in lfield.origins and two in rfield.origins) or (
-                    two in lfield.origins and one in rfield.origins
-                ):
-                    raw.append((simf(lfield, rfield, index.q), lf, rf))
-                    break
+            if not wanted.isdisjoint(rfield.origins):
+                raw.append((simf(lfield, rfield, index.q), lf, rf))
     raw.sort(key=lambda t: (-t[0], t[1], t[2]))
     used_l: set[int] = set()
     used_r: set[int] = set()
@@ -201,19 +210,20 @@ def verify_pair(
     index: ValuePairIndex,
     i: int,
     j: int,
-    promoted: Iterable[frozenset[AttrOrigin]] = (),
+    partners: Partners = _NO_PARTNERS,
 ) -> VerifyResult:
     """Compute the similarity of candidate pair (i, j).
 
     The similar field pairs come straight from the index (the refined
-    field set); the matching is forced edges + mapped edges + the KM
-    solution on the residual graph.  Alongside the score, emits the
-    attribute pairs underlying every matched edge as schema-matching
-    predictions.
+    field set); the matching is forced edges (from the promoted schema
+    matchings in ``partners``, see :func:`resolve_forced_pairs`) + mapped
+    edges + the KM solution on the residual graph.  Alongside the score,
+    emits the attribute pairs underlying every matched edge as
+    schema-matching predictions.
     """
     a, b = index.store[i], index.store[j]
     bound = index.cal_bound(i, j)
-    forced = resolve_forced_pairs(index, i, j, promoted)
+    forced = resolve_forced_pairs(index, i, j, partners)
     graph, mapped = build_graph(bound.refined, [(lf, rf) for lf, rf, _ in forced])
     km_edges, _ = km_max_weight(graph)
     matching = FieldMatchingSet(forced + mapped + km_edges)

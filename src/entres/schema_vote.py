@@ -6,6 +6,11 @@ predictions are tallied; the most frequent candidate is promoted once a
 Hoeffding-style upper bound on the error probability of the vote drops
 below the configured threshold.  Promotions are frozen: later
 contradicting votes are logged, never acted on.
+
+Because promotions only ever accumulate, the ledger keeps them, as they
+are made, in the shape verification reads: a symmetric partner map from
+each promoted attribute to its counterparts, and the distinct promoted
+pairs in promotion order.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, AbstractSet, Iterable, Mapping
 
 from .records import AttrOrigin
 
@@ -49,7 +54,12 @@ class PromotedMatching:
 
 class SchemaVoteLedger:
     """Vote tally and promotion state, keyed by (attribute, counterpart
-    schema)."""
+    schema).
+
+    A promotion can be reached from either of its attributes, so the same
+    unordered pair may be promoted twice, once per key; ``promoted()``
+    lists both, while ``promoted_pairs()`` and ``partners`` hold it once.
+    """
 
     def __init__(self, p: float = 0.8, rho: float = 0.6) -> None:
         if not (0.5 < p <= 1.0):
@@ -61,6 +71,8 @@ class SchemaVoteLedger:
         self._votes: dict[tuple[AttrOrigin, str], dict[AttrOrigin, int]] = {}
         self._promoted: dict[tuple[AttrOrigin, str], PromotedMatching] = {}
         self.contradictions: list[tuple[AttrOrigin, AttrOrigin]] = []
+        self._partners: dict[AttrOrigin, set[AttrOrigin]] = {}
+        self._pairs: list[frozenset[AttrOrigin]] = []
 
     def record_prediction(self, a: AttrOrigin, b: AttrOrigin) -> None:
         """Count one predicted correspondence, symmetrically for both
@@ -99,21 +111,28 @@ class SchemaVoteLedger:
             return None
         promo = PromotedMatching(a=a, b=leaders[0], votes=n, p_error_upper=bound)
         self._promoted[key] = promo
+        if promo.b not in self._partners.get(a, ()):
+            self._partners.setdefault(a, set()).add(promo.b)
+            self._partners.setdefault(promo.b, set()).add(a)
+            self._pairs.append(promo.as_pair())
         return promo
 
     def promoted(self) -> list[PromotedMatching]:
+        """Every promotion, one per (attribute, counterpart schema) key, in
+        promotion order."""
         return list(self._promoted.values())
 
     def promoted_pairs(self) -> list[frozenset[AttrOrigin]]:
-        """Distinct promoted attribute pairs (unordered)."""
-        out: list[frozenset[AttrOrigin]] = []
-        seen: set[frozenset[AttrOrigin]] = set()
-        for promo in self._promoted.values():
-            pair = promo.as_pair()
-            if pair not in seen:
-                seen.add(pair)
-                out.append(pair)
-        return out
+        """Distinct promoted attribute pairs (unordered), in the order they
+        were first promoted."""
+        return list(self._pairs)
+
+    @property
+    def partners(self) -> Mapping[AttrOrigin, AbstractSet[AttrOrigin]]:
+        """The live symmetric partner map: ``b in partners[a]`` exactly when
+        ``{a, b}`` has been promoted.  It only grows; callers read it and
+        never write to it."""
+        return self._partners
 
     def export_jsonl(self, fp: IO[str]) -> None:
         write_matchings_jsonl(self._promoted.values(), fp)

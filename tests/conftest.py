@@ -4,8 +4,9 @@ from pathlib import Path
 import pytest
 
 from entres.cli import parse_input
-from entres.pair_index import RecordStore
+from entres.pair_index import RecordStore, ValuePairIndex
 from entres.records import AttrOrigin, basic_record
+from entres.similarity import simf
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "demos" / "data"
 CUSTOMERS = DATA_DIR / "customers.jsonl"
@@ -48,3 +49,42 @@ def random_store(
                     fld.values.append(v)
         store[rid] = rec
     return store
+
+
+def partners_of(pairs) -> dict[AttrOrigin, set[AttrOrigin]]:
+    """The symmetric partner map of unordered attribute pairs."""
+    out: dict[AttrOrigin, set[AttrOrigin]] = {}
+    for one, two in pairs:
+        out.setdefault(one, set()).add(two)
+        out.setdefault(two, set()).add(one)
+    return out
+
+
+def reference_forced_pairs(
+    index: ValuePairIndex, i: int, j: int, promoted: list[frozenset[AttrOrigin]]
+) -> list[tuple[int, int, float]]:
+    """The simple path for ``matching.resolve_forced_pairs``: test every
+    field pair against every promoted pair, then settle collisions by
+    similarity and field indices."""
+    a, b = index.store[i], index.store[j]
+    raw = []
+    for lf, lfield in enumerate(a.fields, 1):
+        for rf, rfield in enumerate(b.fields, 1):
+            for pair in promoted:
+                one, two = tuple(pair)
+                if (one in lfield.origins and two in rfield.origins) or (
+                    two in lfield.origins and one in rfield.origins
+                ):
+                    raw.append((simf(lfield, rfield, index.q), lf, rf))
+                    break
+    raw.sort(key=lambda t: (-t[0], t[1], t[2]))
+    used_l: set[int] = set()
+    used_r: set[int] = set()
+    forced = []
+    for s, lf, rf in raw:
+        if lf in used_l or rf in used_r:
+            continue
+        used_l.add(lf)
+        used_r.add(rf)
+        forced.append((lf, rf, s))
+    return sorted(forced)

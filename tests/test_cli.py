@@ -16,6 +16,7 @@ from entres.cli import (
     parse_input,
 )
 from entres.pair_index import build_index
+from entres.records import AttrOrigin
 from tests.conftest import CUSTOMERS, CUSTOMERS_GOLD
 
 # four unrelated people whose only shared "values" are blank or null phones
@@ -104,6 +105,38 @@ class TestParseInput:
         write_jsonl(p, [doc("a", name="x"), doc("b", name=" ", phone=[None, "\t"])])
         with pytest.raises(InputError, match="line 2: record has no value"):
             parse_input(str(p))
+
+    def test_numbers_and_booleans_keep_json_text(self, tmp_path):
+        p = tmp_path / "r.jsonl"
+        p.write_text('{"id": "a", "source": "s", "fields": ['
+                     '{"attr": "n", "values": [1, 1.5, true, false, 1.0, "1"]}]}\n')
+        # 1 and "1" are one value; 1.0 keeps its own text
+        assert parse_input(str(p)).store[1].fields[0].values == ["1", "1.5", "true", "false", "1.0"]
+
+    @pytest.mark.parametrize("value, kind", [(["p", "q"], "a list"), ({"a": 1}, "an object"),
+                                             ([], "a list")])
+    def test_list_or_object_value_rejected(self, tmp_path, value, kind):
+        p = tmp_path / "bad.jsonl"
+        write_jsonl(p, [doc("a", name="x"),
+                        {"id": "b", "source": "s1",
+                         "fields": [{"attr": "tags", "values": ["ok", value]}]}])
+        with pytest.raises(InputError, match=f"line 2: field 'tags' holds {kind}"):
+            parse_input(str(p))
+
+    def test_attributes_differing_only_by_case_rejected(self, tmp_path):
+        p = tmp_path / "bad.jsonl"
+        write_jsonl(p, [{"id": "a", "source": "s",
+                         "fields": [{"attr": "Name", "values": ["bush"]},
+                                    {"attr": "name", "values": ["bush"]}]}])
+        with pytest.raises(InputError, match="line 1: attribute 'name' repeated"):
+            parse_input(str(p))
+
+    def test_attribute_names_keep_their_case(self, tmp_path):
+        p = tmp_path / "r.jsonl"
+        write_jsonl(p, [doc("a", Name="Bush"), doc("b", name="Bush")])
+        store = parse_input(str(p)).store
+        assert store[1].fields[0].origins == {AttrOrigin("s1", "Name")}
+        assert store[2].fields[0].origins == {AttrOrigin("s1", "name")}
 
 
 def brute_force_eval(labels, gold):
@@ -234,6 +267,16 @@ class TestMain:
         buf = io.StringIO()
         build_index(parse_input(str(CUSTOMERS)).store, 0.6, 3).dump_jsonl(buf)
         assert dump.read_text() == buf.getvalue()
+
+    def test_single_record_file(self, tmp_path, capsys):
+        p = tmp_path / "one.jsonl"
+        write_jsonl(p, [doc("only", name="Bush", phone="831-432")])
+        m, dump = tmp_path / "matchings.jsonl", tmp_path / "index.jsonl"
+        assert main(["--input", str(p), "--emit-matchings", str(m), "--dump-index", str(dump)]) == 0
+        captured = capsys.readouterr()
+        assert [json.loads(l) for l in captured.out.splitlines()] == [{"id": "only", "entity": "only"}]
+        assert captured.err == ""
+        assert m.read_text() == "" and dump.read_text() == ""
 
     def test_non_convergence_warning(self, tmp_path, capsys):
         main(["--input", str(CUSTOMERS), "--out", str(tmp_path / "l.jsonl"),

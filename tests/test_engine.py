@@ -1,10 +1,12 @@
 import random
+import string
 
 import pytest
 
+import entres.matching as matching
 from entres.engine import EngineConfig, ResolutionEngine, run
 from entres.records import AttrOrigin, basic_record
-from tests.conftest import random_store
+from tests.conftest import random_store, reference_forced_pairs
 
 
 def entity_sets(result):
@@ -120,3 +122,73 @@ class TestInvariants:
             loose = run(dict(store), EngineConfig(delta=0.4))
             strict = run(dict(store), EngineConfig(delta=0.8))
             assert len(strict.entities) >= len(loose.entities)
+
+
+# four schemas that name the same concepts differently; the values of
+# different concepts look alike (the login is the name without its space,
+# the e-mail starts with the login, fax and mobile share the phone's
+# prefix), so fields of one record resemble several fields of another
+LOOKALIKE_SCHEMAS = {
+    "crm": [("name", "full_name"), ("email", "email"), ("phone", "phone"), ("fax", "fax")],
+    "web": [("login", "username"), ("email", "mail"), ("mobile", "mobile")],
+    "billing": [("name", "customer"), ("email", "e_mail"), ("phone", "tel"), ("fax", "fax_no")],
+    "support": [("name", "name"), ("login", "login"), ("phone", "contact"), ("mobile", "cell")],
+}
+
+
+def lookalike_store(n_entities, seed):
+    """One record per entity and schema, in shuffled record order."""
+    rng = random.Random(seed)
+
+    def word(k):
+        return "".join(rng.choice(string.ascii_lowercase) for _ in range(k))
+
+    def digits(k):
+        return "".join(rng.choice(string.digits) for _ in range(k))
+
+    rows = []
+    for _ in range(n_entities):
+        first, last = word(5), word(6)
+        phone = f"{digits(3)}-{digits(3)}-{digits(4)}"
+        truth = {
+            "name": f"{first} {last}", "login": first + last,
+            "email": f"{first}{last}@{word(2)}.io", "phone": phone,
+            "fax": phone[:-1] + digits(1), "mobile": phone[:-2] + digits(2),
+        }
+        for source, concepts in LOOKALIKE_SCHEMAS.items():
+            rows.append([(AttrOrigin(source, attr), truth[c]) for c, attr in concepts])
+    rng.shuffle(rows)
+    return {rid: basic_record(rid, items) for rid, items in enumerate(rows, 1)}
+
+
+class TestPromotedMatchings:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_forced_edges_match_reference_path(self, seed, monkeypatch):
+        store = lookalike_store(20, seed)
+        forced_edges = []
+        fast = matching.resolve_forced_pairs
+
+        def counted(*args):
+            out = fast(*args)
+            forced_edges.append(len(out))
+            return out
+
+        monkeypatch.setattr(matching, "resolve_forced_pairs", counted)
+        result = run(dict(store))
+        assert len(result.promoted) > 0
+        assert sum(forced_edges) > 0
+        assert len(result.entities) == 20
+
+        # the same run with the simple triple loop over the ledger's
+        # promotions in place of the partner-map lookup
+        engine = ResolutionEngine(dict(store))
+
+        def reference(index, i, j, partners):
+            promoted = list(dict.fromkeys(p.as_pair() for p in engine.ledger.promoted()))
+            return reference_forced_pairs(index, i, j, promoted)
+
+        monkeypatch.setattr(matching, "resolve_forced_pairs", reference)
+        slow = engine.run()
+        assert slow.labels == result.labels
+        assert slow.merge_history == result.merge_history
+        assert slow.promoted == result.promoted

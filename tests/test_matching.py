@@ -2,6 +2,7 @@ import random
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entres.matching import (
     FieldMatchGraph,
@@ -12,8 +13,8 @@ from entres.matching import (
     verify_pair,
 )
 from entres.pair_index import build_index
-from entres.records import AttrOrigin
-from tests.conftest import random_store
+from entres.records import AttrOrigin, Field, SuperRecord
+from tests.conftest import partners_of, random_store, reference_forced_pairs
 
 XI = 0.5
 
@@ -159,9 +160,9 @@ class TestVerifyPair:
 
     def test_forced_pair_overrides_km_choice(self, customer_store):
         index = build_index(customer_store, XI)
-        promoted = [frozenset({AttrOrigin("CustomerII", "addr"),
-                               AttrOrigin("CustomerIII", "city")})]
-        result = verify_pair(index, 2, 4, promoted)
+        partners = partners_of([(AttrOrigin("CustomerII", "addr"),
+                                 AttrOrigin("CustomerIII", "city"))])
+        result = verify_pair(index, 2, 4, partners)
         assert (4, 1, pytest.approx(0.6)) in tuple(result.matching)
         # the forced edge consumes rf=1, displacing the better (5, 1) edge
         assert result.sim == pytest.approx(2.6 / 5)
@@ -184,11 +185,64 @@ class TestVerifyPair:
 class TestResolveForcedPairs:
     def test_promoted_pair_maps_to_fields(self, customer_store):
         index = build_index(customer_store, XI)
-        promoted = [frozenset({AttrOrigin("CustomerII", "name"),
-                               AttrOrigin("CustomerIII", "name")})]
-        forced = resolve_forced_pairs(index, 2, 4, promoted)
-        assert forced == [(1, 2, 1.0)]
+        partners = partners_of([(AttrOrigin("CustomerII", "name"),
+                                 AttrOrigin("CustomerIII", "name"))])
+        assert resolve_forced_pairs(index, 2, 4, partners) == [(1, 2, 1.0)]
+        # the map is symmetric, so the pair is found from either side
+        assert resolve_forced_pairs(index, 4, 2, partners) == [(2, 1, 1.0)]
 
     def test_no_promotions_no_forced(self, customer_store):
         index = build_index(customer_store, XI)
-        assert resolve_forced_pairs(index, 2, 4, []) == []
+        assert resolve_forced_pairs(index, 2, 4, {}) == []
+
+    def test_collision_keeps_higher_similarity(self):
+        # left field 1 merged two origins, each promoted with a different
+        # right field; only one pair may be forced, and the more similar
+        # one wins over the lower field index
+        x1, x2 = AttrOrigin("x", "name"), AttrOrigin("x", "login")
+        y1, y2 = AttrOrigin("y", "login"), AttrOrigin("y", "name")
+        store = {
+            1: SuperRecord(1, [Field(["bushel"], frozenset({x1, x2}))], frozenset({1})),
+            2: SuperRecord(2, [Field(["bush"], frozenset({y1})),
+                               Field(["bushel"], frozenset({y2}))], frozenset({2})),
+        }
+        index = build_index(store, XI)
+        assert resolve_forced_pairs(index, 1, 2, partners_of([(x1, y1), (x2, y2)])) == [(1, 2, 1.0)]
+
+
+# origins of three schemas, plus a schema that no record carries, so that
+# promoted pairs hit no field, one side only, or both sides
+ORIGINS = [AttrOrigin(f"s{s}", f"a{a}") for s in range(3) for a in range(3)]
+GHOSTS = [AttrOrigin("ghost", f"a{a}") for a in range(2)]
+VOCAB = ["bush", "bushel", "gmail", "chicago", "chicag", "john", "jon", "831-432"]
+
+fields_st = st.lists(
+    st.builds(
+        lambda values, origins: Field(values, frozenset(origins)),
+        st.lists(st.sampled_from(VOCAB), min_size=1, max_size=3, unique=True),
+        # more than one origin: a field merged from several records
+        st.sets(st.sampled_from(ORIGINS), min_size=1, max_size=3),
+    ),
+    min_size=1,
+    max_size=5,
+)
+promoted_st = st.lists(
+    st.tuples(st.sampled_from(ORIGINS + GHOSTS), st.sampled_from(ORIGINS + GHOSTS)).filter(
+        lambda p: p[0].source != p[1].source
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields_st, fields_st, promoted_st)
+def test_resolve_forced_pairs_matches_reference(left, right, pairs):
+    store = {
+        1: SuperRecord(1, left, frozenset({1})),
+        2: SuperRecord(2, right, frozenset({2})),
+    }
+    index = build_index(store, XI)
+    partners = partners_of(pairs)
+    promoted = list(dict.fromkeys(frozenset(p) for p in pairs))
+    for i, j in ((1, 2), (2, 1)):
+        assert resolve_forced_pairs(index, i, j, partners) == reference_forced_pairs(index, i, j, promoted)

@@ -3,6 +3,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entres.records import AttrOrigin
 from entres.schema_vote import SchemaVoteLedger, error_bound
@@ -125,3 +126,31 @@ class TestLedger:
         assert rows[0]["votes"] == 10
         assert rows[0]["p_error_upper"] == pytest.approx(0.5698, abs=5e-4)
         assert {rows[0]["attr_a"], rows[0]["attr_b"]} == {"name"}
+
+
+LEDGER_ORIGINS = [AttrOrigin(f"s{s}", f"a{a}") for s in range(3) for a in range(2)]
+steps_st = st.lists(
+    st.tuples(
+        st.sampled_from(LEDGER_ORIGINS), st.sampled_from(LEDGER_ORIGINS), st.booleans()
+    ).filter(lambda t: t[0].source != t[1].source),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps_st)
+def test_partner_map_and_pairs_follow_promotions(steps):
+    # a loose threshold promotes after one vote, so random sequences promote
+    # often, from either attribute, and later votes contradict
+    ledger = SchemaVoteLedger(p=0.95, rho=0.9)
+    for a, b, promote_both in steps:
+        ledger.record_prediction(a, b)
+        ledger.try_promote(a, b.source)
+        if promote_both:
+            ledger.try_promote(b, a.source)
+        rebuilt = list(dict.fromkeys(promo.as_pair() for promo in ledger.promoted()))
+        assert ledger.promoted_pairs() == rebuilt
+        partners = ledger.partners
+        as_pairs = {frozenset((x, y)) for x, ys in partners.items() for y in ys}
+        assert as_pairs == set(rebuilt)
+        assert all(x in partners[y] for x, ys in partners.items() for y in ys)
