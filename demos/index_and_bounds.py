@@ -1,9 +1,9 @@
 """Inside the value-pair index: similarity join, bounds, and pruning.
 
 Shows the indexed value pairs for the customer scenario, then how the
-per-record-pair upper/lower bounds split all record pairs into pruned,
-direct, and candidate sets -- only candidates ever reach the bipartite
-matching.  Run with:
+per-record-pair upper bound, exact when no field is multiple, splits
+all record pairs into pruned, direct, and candidate sets -- only
+candidates ever reach the bipartite matching.  Run with:
 
     python demos/index_and_bounds.py
 """
@@ -44,9 +44,9 @@ def main() -> None:
         elif bound.has_multiple:
             verdict = "candidate (verify)"
         else:
-            verdict = "direct (bounds coincide)"
+            verdict = "direct (bound is exact)"
         print(f"  ({parsed.ids[i]}, {parsed.ids[j]})  "
-              f"up = {bound.up:.4f}, low = {bound.low:.4f}  -> {verdict}")
+              f"up = {bound.up:.4f}  -> {verdict}")
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ def main() -> None:
         bound = index.cal_bound(i, j)
         print(
             f"  candidate ({parsed.ids[i]}, {parsed.ids[j]})  "
-            f"up = {bound.up:.4f}, low = {bound.low:.4f}  (needs verification)"
+            f"up = {bound.up:.4f}  (needs verification)"
         )
     print()
 

@@ -1,8 +1,8 @@
 """Entity resolution for records with heterogeneous schemas.
 
 The pipeline: a similarity join indexes all similar cross-record value
-pairs once; each iteration derives record-similarity bounds from the
-index to prune or directly settle pairs, verifies the rest with a
+pairs once; each iteration derives a record-similarity upper bound from
+the index to prune or directly settle pairs, verifies the rest with a
 maximum-weight bipartite field matching, votes on schema matchings, and
 merges similar records into super records until nothing merges.
 """

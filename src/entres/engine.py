@@ -1,8 +1,8 @@
 """The resolution driver: iterate candidate generation, direct merges,
 verification, schema voting and merging until no merge happens.
 
-One iteration = one candidate-generation pass.  Direct pairs (bounds
-coincide) are merged without verification; candidates go through the
+One iteration = one candidate-generation pass.  Direct pairs (upper
+bound exact) are merged without verification; candidates go through the
 bipartite matching.  A direct pair whose endpoint was already touched by
 a merge this iteration is deferred -- its cached bound no longer
 describes the current record -- and is simply regenerated next round.

@@ -232,11 +232,11 @@ def verify_pair(
     predictions: list[tuple[AttrOrigin, AttrOrigin]] = []
     seen: set[tuple[AttrOrigin, AttrOrigin]] = set()
     for lf, rf, _ in matching:
-        for o1 in sorted(a.fields[lf - 1].origins, key=lambda o: (o.source, o.attr)):
-            for o2 in sorted(b.fields[rf - 1].origins, key=lambda o: (o.source, o.attr)):
+        for o1 in sorted(a.fields[lf - 1].origins):
+            for o2 in sorted(b.fields[rf - 1].origins):
                 if o1.source == o2.source:
                     continue
-                key = (o1, o2) if (o1.source, o1.attr) <= (o2.source, o2.attr) else (o2, o1)
+                key = (o1, o2) if o1 <= o2 else (o2, o1)
                 if key not in seen:
                     seen.add(key)
                     predictions.append(key)

@@ -1,5 +1,5 @@
 """The sorted value-pair index: off-line construction by similarity join,
-range lookup, record-similarity bounds, candidate generation, and
+range lookup, a record-similarity upper bound, candidate generation, and
 maintenance under record merges.
 
 The index holds every cross-record value pair with similarity >= xi,
@@ -16,8 +16,7 @@ import itertools
 import json
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
 from .records import SuperRecord, ValueLabel
 from .similarity import DEFAULT_Q, gram_jaccard, qgrams
@@ -25,26 +24,26 @@ from .similarity import DEFAULT_Q, gram_jaccard, qgrams
 RecordStore = dict[int, SuperRecord]
 
 
-@dataclass(frozen=True)
-class IndexedPair:
+class IndexedPair(NamedTuple):
     """One indexed value pair.  ``left.rid < right.rid`` always."""
 
     left: ValueLabel
     right: ValueLabel
     sim: float
 
-    def run_order(self) -> tuple:
-        # within a (rid_1, rid_2) run: similarity descending, then label
-        return (-self.sim, self.left.fid, self.left.vid, self.right.fid, self.right.vid)
+
+def _run_order(pair: IndexedPair) -> tuple:
+    # within a (rid_1, rid_2) run both rids are fixed: similarity
+    # descending, then the field and value positions of each label
+    return (-pair.sim, pair.left, pair.right)
 
 
-@dataclass(frozen=True)
-class BoundResult:
-    """Bounds on the similarity of one record pair, plus the refined field
-    set (per field pair, only the best-scoring value pair)."""
+class BoundResult(NamedTuple):
+    """Upper bound on the similarity of one record pair, exact when no
+    field is multiple, plus the refined field set (per field pair, only the
+    best-scoring value pair)."""
 
     up: float
-    low: float
     refined: tuple[tuple[int, int, float], ...]
     has_multiple: bool
 
@@ -53,8 +52,8 @@ def _oriented(left: ValueLabel, right: ValueLabel, sim: float) -> IndexedPair:
     if left.rid == right.rid:
         raise ValueError("indexed pairs must span two records")
     if left.rid > right.rid:
-        left, right = right, left
-    return IndexedPair(left=left, right=right, sim=sim)
+        return IndexedPair(right, left, sim)
+    return IndexedPair(left, right, sim)
 
 
 class ValuePairIndex:
@@ -84,7 +83,7 @@ class ValuePairIndex:
         for left, right, sim in pairs:
             index._insert(_oriented(ValueLabel(*left), ValueLabel(*right), sim))
         for run in index._runs.values():
-            run.sort(key=IndexedPair.run_order)
+            run.sort(key=_run_order)
         return index
 
     def _insert(self, pair: IndexedPair) -> None:
@@ -109,45 +108,36 @@ class ValuePairIndex:
         return tuple(self._runs.get((i, j), ()))
 
     def cal_bound(self, i: int, j: int) -> BoundResult:
-        """Upper/lower bound of the record similarity of (i, j).
+        """Upper bound of the record similarity of (i, j).
 
         Keeps, per field pair, only the maximum-similarity value pair (the
-        refined field set), then reduces per left-side field to the max
-        (upper) and min (lower) covering pair.  A field on either side
-        covered by more than one refined pair makes the pair "multiple";
-        only when neither side has one are the bounds exact.
+        refined field set), and sums per left-side field the best covering
+        pair.  A field on either side covered by more than one refined pair
+        makes the pair "multiple"; only when neither side has one is the
+        bound exact.
         """
-        run = self.lookup_range(i, j)
+        if i >= j:
+            raise ValueError("lookup requires i < j")
         refined: list[tuple[int, int, float]] = []
         seen_fields: set[tuple[int, int]] = set()
-        for pair in run:  # sim-descending: first hit per field pair is the max
-            fkey = (pair.left.fid, pair.right.fid)
+        up_by_left: dict[int, float] = {}
+        # sim-descending: the first hit per field pair, and per left field,
+        # is its maximum
+        for left, right, sim in self._runs.get((i, j), ()):
+            fkey = (left.fid, right.fid)
             if fkey not in seen_fields:
                 seen_fields.add(fkey)
-                refined.append((fkey[0], fkey[1], pair.sim))
-
-        left_cover: dict[int, int] = defaultdict(int)
-        right_cover: dict[int, int] = defaultdict(int)
-        up_by_left: dict[int, float] = {}
-        low_by_left: dict[int, float] = {}
-        for lf, rf, s in refined:
-            left_cover[lf] += 1
-            right_cover[rf] += 1
-            up_by_left[lf] = max(up_by_left.get(lf, 0.0), s)
-            low_by_left[lf] = min(low_by_left.get(lf, 2.0), s)
-        has_multiple = any(c > 1 for c in left_cover.values()) or any(
-            c > 1 for c in right_cover.values()
-        )
+                refined.append((left.fid, right.fid, sim))
+                up_by_left.setdefault(left.fid, sim)
         if not refined:
-            return BoundResult(up=0.0, low=0.0, refined=(), has_multiple=False)
+            return BoundResult(0.0, (), False)
+        n = len(refined)
+        has_multiple = len(up_by_left) < n or len({rf for _, rf in seen_fields}) < n
         m = min(self.store[i].width, self.store[j].width)
-        # field collisions can push the raw sums past m; the similarity
+        # field collisions can push the raw sum past m; the similarity
         # itself never exceeds 1, so clamp
         up = min(1.0, sum(up_by_left.values()) / m)
-        low = min(up, sum(low_by_left.values()) / m)
-        return BoundResult(
-            up=up, low=low, refined=tuple(refined), has_multiple=has_multiple
-        )
+        return BoundResult(up, tuple(refined), has_multiple)
 
     def generate_candidates(
         self, delta: float
@@ -155,7 +145,7 @@ class ValuePairIndex:
         """One linear pass over the index runs.
 
         Returns (candidates, direct): pairs whose upper bound reaches
-        ``delta`` and need verification, and pairs whose bounds coincide
+        ``delta`` and need verification, and pairs whose bound is exact
         (no multiple field on either side) so their similarity is already
         known.  Pairs with upper bound below ``delta`` are pruned.
         """
@@ -198,20 +188,15 @@ class ValuePairIndex:
             self._keys_by_rid[key[1]].discard(key)
             if set(key) == {i, j}:
                 continue  # deleted: both endpoints now live in the same record
-            for pair in run:
-                left = label_map.get(pair.left, pair.left)
-                right = label_map.get(pair.right, pair.right)
-                new = _oriented(left, right, pair.sim)
+            for left, right, sim in run:
+                new = _oriented(label_map.get(left, left), label_map.get(right, right), sim)
                 buckets[(new.left.rid, new.right.rid)].append(new)
         for key, plist in sorted(buckets.items()):
+            plist.sort(key=_run_order)
             best: dict[tuple[ValueLabel, ValueLabel], IndexedPair] = {}
-            for pair in plist:
-                lkey = (pair.left, pair.right)
-                kept = best.get(lkey)
-                if kept is None or pair.sim > kept.sim:
-                    best[lkey] = pair
-            merged = sorted(best.values(), key=IndexedPair.run_order)
-            self._runs[key] = merged
+            for pair in plist:  # best first: the first per label pair is its max
+                best.setdefault((pair.left, pair.right), pair)
+            self._runs[key] = list(best.values())
             self._keys_by_rid[key[0]].add(key)
             self._keys_by_rid[key[1]].add(key)
 
@@ -240,7 +225,7 @@ class ValuePairIndex:
         """Full-scan assertion of the index sort invariant (test hook)."""
         for key, run in self._runs.items():
             for a, b in zip(run, run[1:]):
-                if a.run_order() > b.run_order():
+                if _run_order(a) > _run_order(b):
                     return False
             for pair in run:
                 if (pair.left.rid, pair.right.rid) != key or pair.left.rid >= pair.right.rid:
@@ -328,5 +313,5 @@ def build_index(store: RecordStore, xi: float, q: int = DEFAULT_Q) -> ValuePairI
                     index._insert(_oriented(left, right, sim))
 
     for run in index._runs.values():
-        run.sort(key=IndexedPair.run_order)
+        run.sort(key=_run_order)
     return index

@@ -21,8 +21,7 @@ class ValueLabel(NamedTuple):
     vid: int
 
 
-@dataclass(frozen=True)
-class AttrOrigin:
+class AttrOrigin(NamedTuple):
     """A source attribute: (schema name, attribute name)."""
 
     source: str

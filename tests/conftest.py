@@ -1,4 +1,5 @@
 import random
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -88,3 +89,33 @@ def reference_forced_pairs(
         used_r.add(rf)
         forced.append((lf, rf, s))
     return sorted(forced)
+
+
+def reference_cal_bound(
+    index: ValuePairIndex, i: int, j: int
+) -> tuple[float, tuple[tuple[int, int, float], ...], bool]:
+    """The simple path for ``ValuePairIndex.cal_bound``, as
+    ``(up, refined, has_multiple)``: copy the run, refine it to the best
+    value pair per field pair, then count the refined pairs covering each
+    field and take the maximum per left field."""
+    refined = []
+    seen_fields = set()
+    for pair in index.lookup_range(i, j):
+        fkey = (pair.left.fid, pair.right.fid)
+        if fkey not in seen_fields:
+            seen_fields.add(fkey)
+            refined.append((fkey[0], fkey[1], pair.sim))
+    left_cover: dict[int, int] = defaultdict(int)
+    right_cover: dict[int, int] = defaultdict(int)
+    up_by_left: dict[int, float] = {}
+    for lf, rf, s in refined:
+        left_cover[lf] += 1
+        right_cover[rf] += 1
+        up_by_left[lf] = max(up_by_left.get(lf, 0.0), s)
+    if not refined:
+        return 0.0, (), False
+    has_multiple = any(c > 1 for c in left_cover.values()) or any(
+        c > 1 for c in right_cover.values()
+    )
+    m = min(index.store[i].width, index.store[j].width)
+    return min(1.0, sum(up_by_left.values()) / m), tuple(refined), has_multiple

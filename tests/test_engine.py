@@ -5,7 +5,8 @@ import pytest
 
 import entres.matching as matching
 from entres.engine import EngineConfig, ResolutionEngine, run
-from entres.records import AttrOrigin, basic_record
+from entres.records import AttrOrigin, Field, SuperRecord, basic_record
+from entres.synth import clustered_corpus, split_attribute_corpus
 from tests.conftest import random_store, reference_forced_pairs
 
 
@@ -192,3 +193,38 @@ class TestPromotedMatchings:
         assert slow.labels == result.labels
         assert slow.merge_history == result.merge_history
         assert slow.promoted == result.promoted
+
+
+def with_shuffled_ids(store, rng):
+    """The same records under randomly permuted record ids, with the map
+    from each new id back to the old one."""
+    old_ids = sorted(store)
+    new_ids = old_ids[:]
+    rng.shuffle(new_ids)
+    shuffled = {
+        new: SuperRecord(
+            rid=new,
+            fields=[Field(list(f.values), f.origins) for f in store[old].fields],
+            members=[new],
+        )
+        for old, new in zip(old_ids, new_ids)
+    }
+    return shuffled, dict(zip(new_ids, old_ids))
+
+
+ORDER_CORPORA = {
+    "clustered": lambda: clustered_corpus(30, 8, seed=3)[0],
+    "split_attribute": lambda: split_attribute_corpus(40)[0],
+    "lookalike": lambda: lookalike_store(20, 0),
+}
+
+
+class TestOrderIndependence:
+    @pytest.mark.parametrize("shuffle_seed", [0, 1, 2])
+    @pytest.mark.parametrize("corpus", sorted(ORDER_CORPORA))
+    def test_shuffled_record_ids_give_same_partition(self, corpus, shuffle_seed):
+        store = ORDER_CORPORA[corpus]()
+        expected = entity_sets(run(dict(store)))
+        shuffled, old_of = with_shuffled_ids(store, random.Random(shuffle_seed))
+        result = run(shuffled)
+        assert {frozenset(old_of[r] for r in m) for m in result.entities.values()} == expected

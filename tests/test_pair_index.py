@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entres.engine import EngineConfig, ResolutionEngine
+from entres.matching import verify_pair
 from entres.pair_index import ValuePairIndex, build_index
 from entres.records import (
     AttrOrigin,
@@ -19,7 +20,7 @@ from entres.records import (
 )
 from entres.similarity import gram_jaccard, qgrams
 from entres.synth import clustered_corpus, split_attribute_corpus
-from tests.conftest import random_store
+from tests.conftest import random_store, reference_cal_bound
 
 XI = 0.5
 
@@ -181,6 +182,23 @@ def _six_field_store():
     return {1: mk(1), 2: mk(2)}
 
 
+def _merge_and_update(store, index, i, j, forest):
+    """Merge records ``i`` and ``j`` greedily on their refined field set
+    and maintain ``index``, as the engine does."""
+    bound = index.cal_bound(i, j)
+    matching, lf_used, rf_used = [], set(), set()
+    for lf, rf, s in sorted(bound.refined, key=lambda t: (-t[2], t[0], t[1])):
+        if lf not in lf_used and rf not in rf_used:
+            matching.append((lf, rf, s))
+            lf_used.add(lf)
+            rf_used.add(rf)
+    merged, label_map = merge_super_records(store[i], store[j], matching, forest)
+    del store[i], store[j]
+    store[merged.rid] = merged
+    index.apply_merge(i, j, merged.rid, label_map)
+    return merged
+
+
 class TestCalBound:
     def test_refined_set_bounds(self):
         # two six-field records; refined field-pair sims are
@@ -196,7 +214,6 @@ class TestCalBound:
         bound = index.cal_bound(1, 2)
         assert bound.has_multiple
         assert bound.up == pytest.approx(3.37 / 6)
-        assert bound.low == pytest.approx(0.45)
         assert set(bound.refined) == {(2, 4, 0.37), (3, 1, 0.33), (3, 2, 1.0),
                                       (4, 3, 1.0), (5, 5, 1.0)}
 
@@ -213,7 +230,6 @@ class TestCalBound:
         bound = index.cal_bound(4, 6)
         assert not bound.has_multiple
         assert bound.up == pytest.approx(0.58)
-        assert bound.low == pytest.approx(0.58)
 
     def test_multiple_on_right_side_detected(self):
         pairs = [
@@ -224,13 +240,12 @@ class TestCalBound:
         bound = index.cal_bound(1, 2)
         assert bound.has_multiple
         assert bound.up == pytest.approx(1.6 / 6)
-        assert bound.low == pytest.approx(1.6 / 6)
 
     def test_no_pairs_gives_zero(self, customer_store):
         index = build_index(customer_store, XI)
         assert index.cal_bound(5, 6).up == 0.0
 
-    def test_low_never_exceeds_up(self):
+    def test_up_in_unit_interval_and_exact_without_multiple(self):
         rng = random.Random(17)
         store = random_store(rng, 15)
         index = build_index(store, XI)
@@ -238,9 +253,27 @@ class TestCalBound:
         for a, i in enumerate(rids):
             for j in rids[a + 1 :]:
                 bound = index.cal_bound(i, j)
-                assert 0.0 <= bound.low <= bound.up <= 1.0
+                assert 0.0 <= bound.up <= 1.0
                 if not bound.has_multiple:
-                    assert bound.low == bound.up
+                    assert bound.up == pytest.approx(verify_pair(index, i, j).sim)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 14), st.integers(0, 4))
+    def test_matches_reference_after_merges(self, seed, n_records, n_merges):
+        # up is compared with ==: the one-pass sum must add the same floats
+        # in the same order as the reference
+        rng = random.Random(seed)
+        store = random_store(rng, n_records, max_values=3)
+        index = build_index(store, XI)
+        forest = EntityForest(store)
+        for _ in range(n_merges):
+            if len(store) < 2:
+                break
+            _merge_and_update(store, index, *sorted(rng.sample(sorted(store), 2)), forest)
+        rids = sorted(store)
+        for a, i in enumerate(rids):
+            for j in rids[a + 1 :]:
+                assert index.cal_bound(i, j) == reference_cal_bound(index, i, j)
 
 
 class TestGenerateCandidates:
@@ -277,24 +310,10 @@ class TestGenerateCandidates:
 
 
 class TestApplyMerge:
-    def _merge_and_update(self, store, index, i, j, forest):
-        bound = index.cal_bound(i, j)
-        matching, lf_used, rf_used = [], set(), set()
-        for lf, rf, s in sorted(bound.refined, key=lambda t: (-t[2], t[0], t[1])):
-            if lf not in lf_used and rf not in rf_used:
-                matching.append((lf, rf, s))
-                lf_used.add(lf)
-                rf_used.add(rf)
-        merged, label_map = merge_super_records(store[i], store[j], matching, forest)
-        del store[i], store[j]
-        store[merged.rid] = merged
-        index.apply_merge(i, j, merged.rid, label_map)
-        return merged
-
     def test_internal_pairs_deleted(self, customer_store):
         index = build_index(customer_store, XI)
         forest = EntityForest(customer_store)
-        self._merge_and_update(customer_store, index, 1, 6, forest)
+        _merge_and_update(customer_store, index, 1, 6, forest)
         for pair in index.iter_pairs():
             assert {pair.left.rid, pair.right.rid} != {1, 6}
         assert index.check_sorted()
@@ -310,7 +329,7 @@ class TestApplyMerge:
                 if len(rids) < 2:
                     break
                 i, j = sorted(rng.sample(rids, 2))
-                self._merge_and_update(store, index, i, j, forest)
+                _merge_and_update(store, index, i, j, forest)
                 rebuilt = build_index(store, XI)
                 got = {(p.left, p.right, round(p.sim, 9)) for p in index.iter_pairs()}
                 want = {(p.left, p.right, round(p.sim, 9)) for p in rebuilt.iter_pairs()}
