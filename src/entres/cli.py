@@ -20,7 +20,6 @@ from typing import IO, Hashable, Mapping
 from .engine import EngineConfig, ResolutionEngine
 from .pair_index import RecordStore
 from .records import AttrOrigin, Field, SuperRecord, normalize_value
-from .schema_vote import write_matchings_jsonl
 
 
 class InputError(ValueError):
@@ -57,6 +56,19 @@ class EvalReport:
         }
 
 
+def _text(value: object, what: str, where: str) -> str:
+    """``str()`` of a string, number or boolean; anything else has no text
+    to compare and is rejected."""
+    if not isinstance(value, (str, int, float)):
+        kind = (
+            "null" if value is None
+            else "an object" if isinstance(value, dict)
+            else f"a {type(value).__name__}"
+        )
+        raise InputError(f"{where}{what} {kind}; it must be a string, number or boolean")
+    return str(value)
+
+
 def record_from_doc(doc: dict, rid: int, lineno: int = 0) -> tuple[str, SuperRecord]:
     """Parse one input document into a basic record.
 
@@ -64,14 +76,16 @@ def record_from_doc(doc: dict, rid: int, lineno: int = 0) -> tuple[str, SuperRec
     normalization are dropped, since an absent value is no evidence that
     two records agree.  A field left without values is dropped too.
     Numbers and booleans are taken as their JSON text (``1``, ``1.5``,
-    ``true``); a list or an object as a value is rejected.  Two attributes
-    of one record whose names are equal ignoring case are rejected as a
-    repeated attribute.
+    ``true``); a list or an object as a value is rejected.  The id, the
+    source and each attribute name are taken as text the same way, and
+    null, a list or an object there is rejected.  Two attributes of one
+    record whose names are equal ignoring case are rejected as a repeated
+    attribute.
     """
     where = f"line {lineno}: " if lineno else ""
     try:
-        ext_id = str(doc["id"])
-        source = str(doc["source"])
+        ext_id = _text(doc["id"], "key 'id' holds", where)
+        source = _text(doc["source"], "key 'source' holds", where)
         raw_fields = doc["fields"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"{where}missing key {exc}") from exc
@@ -81,7 +95,7 @@ def record_from_doc(doc: dict, rid: int, lineno: int = 0) -> tuple[str, SuperRec
     seen_attrs: set[str] = set()
     for fld in raw_fields:
         try:
-            attr = str(fld["attr"])
+            attr = _text(fld["attr"], "key 'attr' holds", where)
             values = fld["values"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"{where}malformed field entry: {exc}") from exc
@@ -97,23 +111,14 @@ def record_from_doc(doc: dict, rid: int, lineno: int = 0) -> tuple[str, SuperRec
         normalized: list[str] = []
         for v in values:
             # str() of a number or a boolean case-folds to its JSON text
-            if v is not None and not isinstance(v, (str, int, float)):
-                kind = "an object" if isinstance(v, dict) else f"a {type(v).__name__}"
-                raise InputError(
-                    f"{where}field {attr!r} holds {kind}; a value must be a string, number or boolean"
-                )
-            nv = "" if v is None else normalize_value(str(v))
+            nv = "" if v is None else normalize_value(_text(v, f"field {attr!r} holds", where))
             if nv and nv not in normalized:
                 normalized.append(nv)
         if normalized:
             items.append((AttrOrigin(source=source, attr=attr), normalized))
     if not items:
         raise InputError(f"{where}record has no value left after dropping blank and null ones")
-    rec = SuperRecord(
-        rid=rid,
-        fields=[Field(values=vals, origins=frozenset([origin])) for origin, vals in items],
-        members=frozenset([rid]),
-    )
+    rec = SuperRecord(rid, [Field(values=vals, origins=frozenset([origin])) for origin, vals in items])
     return ext_id, rec
 
 
@@ -206,12 +211,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Resolve heterogeneous records to entities and emit labels.",
     )
     parser.add_argument("--input", required=True, help="JSON-lines record file")
-    parser.add_argument("--delta", type=float, default=0.5, help="record similarity threshold")
-    parser.add_argument("--xi", type=float, default=0.5, help="value similarity threshold")
-    parser.add_argument("--q", type=int, default=2, help="gram length")
-    parser.add_argument("--rho", type=float, default=0.6, help="vote error-probability threshold")
-    parser.add_argument("--prior", type=float, default=0.8, help="prediction correctness prior")
-    parser.add_argument("--max-iters", type=int, default=None, help="iteration cap (default: record count)")
+    defaults = EngineConfig()
+    parser.add_argument("--delta", type=float, default=defaults.delta, help="record similarity threshold")
+    parser.add_argument("--xi", type=float, default=defaults.xi, help="value similarity threshold")
+    parser.add_argument("--q", type=int, default=defaults.q, help="gram length")
+    parser.add_argument("--rho", type=float, default=defaults.rho, help="vote error-probability threshold")
+    parser.add_argument("--prior", type=float, default=defaults.prior, help="prediction correctness prior")
+    parser.add_argument(
+        "--max-iters", type=int, default=defaults.max_iterations, help="iteration cap (default: record count)"
+    )
     parser.add_argument("--ground-truth", default=None, help="gold labels (same format as output)")
     parser.add_argument("--emit-matchings", default=None, help="write promoted schema matchings here")
     parser.add_argument("--dump-index", default=None, help="write the freshly built index here")
@@ -267,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.emit_matchings:
         with open(args.emit_matchings, "w", encoding="utf-8") as fp:
-            write_matchings_jsonl(result.promoted, fp)
+            engine.ledger.export_jsonl(fp)
 
     if args.ground_truth:
         try:

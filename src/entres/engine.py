@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .matching import verify_pair
 from .pair_index import RecordStore, ValuePairIndex, build_index
-from .records import EntityForest, SuperRecord, merge_super_records
+from .records import EntityForest, merge_super_records
 from .schema_vote import PromotedMatching, SchemaVoteLedger
 from .similarity import DEFAULT_Q, FieldMatchingSet
 
@@ -80,13 +80,8 @@ class ResolutionEngine:
         self.index: ValuePairIndex = build_index(self.store, self.config.xi, self.config.q)
         self._original_ids = sorted(records)
 
-    def merge_pair(
-        self, i: int, j: int, matching: FieldMatchingSet
-    ) -> int | None:
-        """Merge live records ``i`` and ``j``; returns the surviving root,
-        or None when their roots already coincide (stale pair)."""
-        if self.forest.find(i) == self.forest.find(j):
-            return None
+    def merge_pair(self, i: int, j: int, matching: FieldMatchingSet) -> int:
+        """Merge the live roots ``i`` and ``j``; returns the surviving root."""
         a, b = self.store[i], self.store[j]
         merged, label_map = merge_super_records(a, b, matching, self.forest)
         del self.store[i]
@@ -107,9 +102,9 @@ class ResolutionEngine:
             bound = self.index.cal_bound(i, j)
             if bound.has_multiple or bound.up < cfg.delta:
                 continue
-            if self.merge_pair(i, j, FieldMatchingSet(bound.refined)) is not None:
-                touched.update((i, j))
-                merges += 1
+            self.merge_pair(i, j, FieldMatchingSet(bound.refined))
+            touched.update((i, j))
+            merges += 1
 
         seen: set[tuple[int, int]] = set()
         for i, j in candidates:
@@ -128,8 +123,8 @@ class ResolutionEngine:
                 self.ledger.record_prediction(a, b)
                 self.ledger.try_promote(a, b.source)
                 self.ledger.try_promote(b, a.source)
-            if self.merge_pair(ri, rj, result.matching) is not None:
-                merges += 1
+            self.merge_pair(ri, rj, result.matching)
+            merges += 1
         return merges
 
     def run(self) -> ResolutionResult:

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, NamedTuple
 
+from .similarity import FieldMatchingSet
+
 
 class ValueLabel(NamedTuple):
     """Position of one value in the record store.  All components 1-based."""
@@ -47,18 +49,14 @@ class Field:
 @dataclass
 class SuperRecord:
     """A (possibly merged) record.  ``rid`` is the current union-find root;
-    ``members`` lists every original record id folded into it."""
+    the records folded into it are the ids the forest maps to that root."""
 
     rid: int
     fields: list[Field]
-    members: frozenset[int]
 
     def __post_init__(self) -> None:
         if not self.fields:
             raise ValueError("a record must have at least one field")
-        self.members = frozenset(self.members)
-        if self.rid not in self.members:
-            raise ValueError("members must contain the record's own id")
 
     @property
     def width(self) -> int:
@@ -68,7 +66,7 @@ class SuperRecord:
 def basic_record(rid: int, items: Iterable[tuple[AttrOrigin, str]]) -> SuperRecord:
     """Build an unmerged record: one value and one origin per field."""
     fields = [Field(values=[v], origins=frozenset([o])) for o, v in items]
-    return SuperRecord(rid=rid, fields=fields, members=frozenset([rid]))
+    return SuperRecord(rid=rid, fields=fields)
 
 
 def normalize_value(raw: str) -> str:
@@ -94,9 +92,6 @@ class EntityForest:
             self._parent[i] = i
             self._size[i] = 1
 
-    def __contains__(self, i: int) -> bool:
-        return i in self._parent
-
     def find(self, i: int) -> int:
         root = i
         while self._parent[root] != root:
@@ -118,9 +113,6 @@ class EntityForest:
     def roots(self) -> set[int]:
         return {self.find(i) for i in self._parent}
 
-    def ids(self) -> list[int]:
-        return list(self._parent)
-
 
 def merge_super_records(
     a: SuperRecord,
@@ -140,16 +132,12 @@ def merge_super_records(
     """
     if forest.find(a.rid) == forest.find(b.rid):
         raise ValueError("cannot merge a record with itself")
-    pairs = sorted((int(lf), int(rf), float(s)) for lf, rf, s in matching)
-    left_used: set[int] = set()
-    right_used: set[int] = set()
+    pairs = FieldMatchingSet(matching)
     for lf, rf, _ in pairs:
         if not (1 <= lf <= a.width) or not (1 <= rf <= b.width):
             raise ValueError(f"matching references missing field ({lf}, {rf})")
-        if lf in left_used or rf in right_used:
-            raise ValueError("matching is not one-to-one")
-        left_used.add(lf)
-        right_used.add(rf)
+    left_used = {lf for lf, _, _ in pairs}
+    right_used = {rf for _, rf, _ in pairs}
 
     k = forest.union(a.rid, b.rid)
     label_map: dict[ValueLabel, ValueLabel] = {}
@@ -180,5 +168,4 @@ def merge_super_records(
         if fid not in right_used:
             emit(None, fld, 0, fid)
 
-    merged = SuperRecord(rid=k, fields=new_fields, members=a.members | b.members)
-    return merged, label_map
+    return SuperRecord(rid=k, fields=new_fields), label_map

@@ -7,10 +7,15 @@ Hoeffding-style upper bound on the error probability of the vote drops
 below the configured threshold.  Promotions are frozen: later
 contradicting votes are logged, never acted on.
 
+A prediction ``(a, b)`` contradicts the promotions when ``a`` already
+has a promoted counterpart in ``b``'s schema that is not ``b``, or ``b``
+one in ``a``'s schema that is not ``a``; the test is symmetric, so
+``(a, b)`` and ``(b, a)`` are logged alike.
+
 Because promotions only ever accumulate, the ledger keeps them, as they
-are made, in the shape verification reads: a symmetric partner map from
-each promoted attribute to its counterparts, and the distinct promoted
-pairs in promotion order.
+are made, in the shape verification and export read: a symmetric
+partner map from each promoted attribute to its counterparts, and the
+first promotion of each distinct pair, in promotion order.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, AbstractSet, Iterable, Mapping
+from typing import IO, AbstractSet, Mapping
 
 from .records import AttrOrigin
 
@@ -58,7 +63,8 @@ class SchemaVoteLedger:
 
     A promotion can be reached from either of its attributes, so the same
     unordered pair may be promoted twice, once per key; ``promoted()``
-    lists both, while ``promoted_pairs()`` and ``partners`` hold it once.
+    lists both, while ``promoted_pairs()``, ``partners`` and the export
+    hold it once.
     """
 
     def __init__(self, p: float = 0.8, rho: float = 0.6) -> None:
@@ -72,18 +78,21 @@ class SchemaVoteLedger:
         self._promoted: dict[tuple[AttrOrigin, str], PromotedMatching] = {}
         self.contradictions: list[tuple[AttrOrigin, AttrOrigin]] = []
         self._partners: dict[AttrOrigin, set[AttrOrigin]] = {}
-        self._pairs: list[frozenset[AttrOrigin]] = []
+        self._distinct: list[PromotedMatching] = []
 
     def record_prediction(self, a: AttrOrigin, b: AttrOrigin) -> None:
         """Count one predicted correspondence, symmetrically for both
-        attributes."""
+        attributes, and log it when it contradicts a promotion of either."""
         if a.source == b.source:
             raise ValueError("a prediction must span two schemas")
+        contradicts = False
         for key_attr, cand in ((a, b), (b, a)):
-            tally = self._votes.setdefault((key_attr, cand.source), {})
+            key = (key_attr, cand.source)
+            tally = self._votes.setdefault(key, {})
             tally[cand] = tally.get(cand, 0) + 1
-        decided = self._promoted.get((a, b.source))
-        if decided is not None and decided.b != b and decided.a != b:
+            decided = self._promoted.get(key)
+            contradicts |= decided is not None and decided.b != cand
+        if contradicts:
             self.contradictions.append((a, b))
 
     def votes_for(self, a: AttrOrigin, counterpart: str) -> dict[AttrOrigin, int]:
@@ -114,7 +123,7 @@ class SchemaVoteLedger:
         if promo.b not in self._partners.get(a, ()):
             self._partners.setdefault(a, set()).add(promo.b)
             self._partners.setdefault(promo.b, set()).add(a)
-            self._pairs.append(promo.as_pair())
+            self._distinct.append(promo)
         return promo
 
     def promoted(self) -> list[PromotedMatching]:
@@ -125,7 +134,7 @@ class SchemaVoteLedger:
     def promoted_pairs(self) -> list[frozenset[AttrOrigin]]:
         """Distinct promoted attribute pairs (unordered), in the order they
         were first promoted."""
-        return list(self._pairs)
+        return [promo.as_pair() for promo in self._distinct]
 
     @property
     def partners(self) -> Mapping[AttrOrigin, AbstractSet[AttrOrigin]]:
@@ -135,24 +144,16 @@ class SchemaVoteLedger:
         return self._partners
 
     def export_jsonl(self, fp: IO[str]) -> None:
-        write_matchings_jsonl(self._promoted.values(), fp)
-
-
-def write_matchings_jsonl(promoted: Iterable[PromotedMatching], fp: IO[str]) -> None:
-    """One JSON line per distinct promoted attribute pair (unordered), in
-    promotion order."""
-    seen: set[frozenset[AttrOrigin]] = set()
-    for promo in promoted:
-        pair = promo.as_pair()
-        if pair in seen:
-            continue
-        seen.add(pair)
-        row = {
-            "source_a": promo.a.source,
-            "attr_a": promo.a.attr,
-            "source_b": promo.b.source,
-            "attr_b": promo.b.attr,
-            "votes": promo.votes,
-            "p_error_upper": promo.p_error_upper,
-        }
-        fp.write(json.dumps(row) + "\n")
+        """One JSON line per distinct promoted attribute pair (unordered),
+        with the votes and error bound of its first promotion, in
+        promotion order."""
+        for promo in self._distinct:
+            row = {
+                "source_a": promo.a.source,
+                "attr_a": promo.a.attr,
+                "source_b": promo.b.source,
+                "attr_b": promo.b.attr,
+                "votes": promo.votes,
+                "p_error_upper": promo.p_error_upper,
+            }
+            fp.write(json.dumps(row) + "\n")

@@ -7,9 +7,10 @@ a symmetric score in [0, 1].  q-gram Jaccard is the shipped default.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .records import Field, SuperRecord
+if TYPE_CHECKING:
+    from .records import Field, SuperRecord
 
 DEFAULT_Q = 2
 

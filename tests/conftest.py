@@ -1,4 +1,5 @@
 import random
+import string
 from collections import defaultdict
 from pathlib import Path
 
@@ -50,6 +51,43 @@ def random_store(
                     fld.values.append(v)
         store[rid] = rec
     return store
+
+
+# four schemas that name the same concepts differently; the values of
+# different concepts look alike (the login is the name without its space,
+# the e-mail starts with the login, fax and mobile share the phone's
+# prefix), so fields of one record resemble several fields of another
+LOOKALIKE_SCHEMAS = {
+    "crm": [("name", "full_name"), ("email", "email"), ("phone", "phone"), ("fax", "fax")],
+    "web": [("login", "username"), ("email", "mail"), ("mobile", "mobile")],
+    "billing": [("name", "customer"), ("email", "e_mail"), ("phone", "tel"), ("fax", "fax_no")],
+    "support": [("name", "name"), ("login", "login"), ("phone", "contact"), ("mobile", "cell")],
+}
+
+
+def lookalike_store(n_entities, seed):
+    """One record per entity and schema, in shuffled record order."""
+    rng = random.Random(seed)
+
+    def word(k):
+        return "".join(rng.choice(string.ascii_lowercase) for _ in range(k))
+
+    def digits(k):
+        return "".join(rng.choice(string.digits) for _ in range(k))
+
+    rows = []
+    for _ in range(n_entities):
+        first, last = word(5), word(6)
+        phone = f"{digits(3)}-{digits(3)}-{digits(4)}"
+        truth = {
+            "name": f"{first} {last}", "login": first + last,
+            "email": f"{first}{last}@{word(2)}.io", "phone": phone,
+            "fax": phone[:-1] + digits(1), "mobile": phone[:-2] + digits(2),
+        }
+        for source, concepts in LOOKALIKE_SCHEMAS.items():
+            rows.append([(AttrOrigin(source, attr), truth[c]) for c, attr in concepts])
+    rng.shuffle(rows)
+    return {rid: basic_record(rid, items) for rid, items in enumerate(rows, 1)}
 
 
 def partners_of(pairs) -> dict[AttrOrigin, set[AttrOrigin]]:

@@ -15,9 +15,10 @@ from entres.cli import (
     main,
     parse_input,
 )
+from entres.engine import run
 from entres.pair_index import build_index
 from entres.records import AttrOrigin
-from tests.conftest import CUSTOMERS, CUSTOMERS_GOLD
+from tests.conftest import CUSTOMERS, CUSTOMERS_GOLD, lookalike_store
 
 # four unrelated people whose only shared "values" are blank or null phones
 BLANK_AND_NULL = Path(__file__).resolve().parent / "data" / "blank_and_null.jsonl"
@@ -25,6 +26,21 @@ BLANK_AND_NULL = Path(__file__).resolve().parent / "data" / "blank_and_null.json
 
 def write_jsonl(path, docs):
     path.write_text("".join(json.dumps(d) + "\n" for d in docs), encoding="utf-8")
+
+
+def store_docs(store):
+    """The input documents of a store of basic records, in record id order,
+    so that parsing them gives back the same record ids."""
+    docs = []
+    for rid in sorted(store):
+        origins = [next(iter(f.origins)) for f in store[rid].fields]
+        docs.append({
+            "id": f"r{rid}",
+            "source": origins[0].source,
+            "fields": [{"attr": o.attr, "values": f.values}
+                       for o, f in zip(origins, store[rid].fields)],
+        })
+    return docs
 
 
 def doc(ext_id, source="s1", **attrs):
@@ -121,6 +137,19 @@ class TestParseInput:
                         {"id": "b", "source": "s1",
                          "fields": [{"attr": "tags", "values": ["ok", value]}]}])
         with pytest.raises(InputError, match=f"line 2: field 'tags' holds {kind}"):
+            parse_input(str(p))
+
+    @pytest.mark.parametrize("value, kind", [(None, "null"), (["x"], "a list"), ({"a": 1}, "an object")])
+    @pytest.mark.parametrize("key", ["id", "source", "attr"])
+    def test_null_list_or_object_id_source_or_attr_rejected(self, tmp_path, key, value, kind):
+        bad = doc("b", name="x")
+        if key == "attr":
+            bad["fields"][0]["attr"] = value
+        else:
+            bad[key] = value
+        p = tmp_path / "bad.jsonl"
+        write_jsonl(p, [doc("a", name="x"), bad])
+        with pytest.raises(InputError, match=f"line 2: key '{key}' holds {kind}"):
             parse_input(str(p))
 
     def test_attributes_differing_only_by_case_rejected(self, tmp_path):
@@ -245,6 +274,25 @@ class TestMain:
               "--emit-matchings", str(m)])
         assert m.exists()  # no promotions here, so the file is empty
         assert m.read_text() == ""
+
+    def test_emit_matchings_one_row_per_distinct_pair(self, tmp_path, capsys):
+        store = lookalike_store(20, 0)
+        p, m = tmp_path / "lookalike.jsonl", tmp_path / "matchings.jsonl"
+        write_jsonl(p, store_docs(store))
+        assert main(["--input", str(p), "--out", str(tmp_path / "l.jsonl"),
+                     "--emit-matchings", str(m)]) == 0
+        first = {}
+        promoted = run(dict(store)).promoted
+        for promo in promoted:
+            first.setdefault(promo.as_pair(), promo)
+        assert len(first) < len(promoted)  # some pair was promoted from both of its attributes
+        expected = [
+            {"source_a": promo.a.source, "attr_a": promo.a.attr,
+             "source_b": promo.b.source, "attr_b": promo.b.attr,
+             "votes": promo.votes, "p_error_upper": promo.p_error_upper}
+            for promo in first.values()
+        ]
+        assert [json.loads(line) for line in m.read_text().splitlines()] == expected
 
     def test_missing_input_fails_cleanly(self, tmp_path, capsys):
         assert main(["--input", str(tmp_path / "nope.jsonl")]) == 1

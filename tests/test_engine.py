@@ -1,5 +1,4 @@
 import random
-import string
 
 import pytest
 
@@ -7,7 +6,7 @@ import entres.matching as matching
 from entres.engine import EngineConfig, ResolutionEngine, run
 from entres.records import AttrOrigin, Field, SuperRecord, basic_record
 from entres.synth import clustered_corpus, split_attribute_corpus
-from tests.conftest import random_store, reference_forced_pairs
+from tests.conftest import lookalike_store, random_store, reference_forced_pairs
 
 
 def entity_sets(result):
@@ -125,43 +124,6 @@ class TestInvariants:
             assert len(strict.entities) >= len(loose.entities)
 
 
-# four schemas that name the same concepts differently; the values of
-# different concepts look alike (the login is the name without its space,
-# the e-mail starts with the login, fax and mobile share the phone's
-# prefix), so fields of one record resemble several fields of another
-LOOKALIKE_SCHEMAS = {
-    "crm": [("name", "full_name"), ("email", "email"), ("phone", "phone"), ("fax", "fax")],
-    "web": [("login", "username"), ("email", "mail"), ("mobile", "mobile")],
-    "billing": [("name", "customer"), ("email", "e_mail"), ("phone", "tel"), ("fax", "fax_no")],
-    "support": [("name", "name"), ("login", "login"), ("phone", "contact"), ("mobile", "cell")],
-}
-
-
-def lookalike_store(n_entities, seed):
-    """One record per entity and schema, in shuffled record order."""
-    rng = random.Random(seed)
-
-    def word(k):
-        return "".join(rng.choice(string.ascii_lowercase) for _ in range(k))
-
-    def digits(k):
-        return "".join(rng.choice(string.digits) for _ in range(k))
-
-    rows = []
-    for _ in range(n_entities):
-        first, last = word(5), word(6)
-        phone = f"{digits(3)}-{digits(3)}-{digits(4)}"
-        truth = {
-            "name": f"{first} {last}", "login": first + last,
-            "email": f"{first}{last}@{word(2)}.io", "phone": phone,
-            "fax": phone[:-1] + digits(1), "mobile": phone[:-2] + digits(2),
-        }
-        for source, concepts in LOOKALIKE_SCHEMAS.items():
-            rows.append([(AttrOrigin(source, attr), truth[c]) for c, attr in concepts])
-    rng.shuffle(rows)
-    return {rid: basic_record(rid, items) for rid, items in enumerate(rows, 1)}
-
-
 class TestPromotedMatchings:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_forced_edges_match_reference_path(self, seed, monkeypatch):
@@ -205,7 +167,6 @@ def with_shuffled_ids(store, rng):
         new: SuperRecord(
             rid=new,
             fields=[Field(list(f.values), f.origins) for f in store[old].fields],
-            members=[new],
         )
         for old, new in zip(old_ids, new_ids)
     }

@@ -202,9 +202,9 @@ class TestResolveForcedPairs:
         x1, x2 = AttrOrigin("x", "name"), AttrOrigin("x", "login")
         y1, y2 = AttrOrigin("y", "login"), AttrOrigin("y", "name")
         store = {
-            1: SuperRecord(1, [Field(["bushel"], frozenset({x1, x2}))], frozenset({1})),
+            1: SuperRecord(1, [Field(["bushel"], frozenset({x1, x2}))]),
             2: SuperRecord(2, [Field(["bush"], frozenset({y1})),
-                               Field(["bushel"], frozenset({y2}))], frozenset({2})),
+                               Field(["bushel"], frozenset({y2}))]),
         }
         index = build_index(store, XI)
         assert resolve_forced_pairs(index, 1, 2, partners_of([(x1, y1), (x2, y2)])) == [(1, 2, 1.0)]
@@ -238,8 +238,8 @@ promoted_st = st.lists(
 @given(fields_st, fields_st, promoted_st)
 def test_resolve_forced_pairs_matches_reference(left, right, pairs):
     store = {
-        1: SuperRecord(1, left, frozenset({1})),
-        2: SuperRecord(2, right, frozenset({2})),
+        1: SuperRecord(1, left),
+        2: SuperRecord(2, right),
     }
     index = build_index(store, XI)
     partners = partners_of(pairs)

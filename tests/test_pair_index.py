@@ -72,7 +72,6 @@ def join_cases(draw):
             rid=rid,
             fields=[Field(values=vals, origins=[AttrOrigin(f"s{rid}", f"a{fid}")])
                     for fid, vals in enumerate(fields)],
-            members=[rid],
         )
         for rid, fields in enumerate(records, 1)
     }

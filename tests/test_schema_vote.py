@@ -102,6 +102,18 @@ class TestLedger:
         assert ledger.try_promote(A_NAME, "CustomerIII") == first
         assert (A_NAME, B_CITY) in ledger.contradictions
 
+    def test_contradiction_seen_from_either_attribute(self):
+        # {A_NAME, B_NAME} is promoted from B_NAME's side only
+        ledger = SchemaVoteLedger(p=0.8, rho=0.6)
+        for _ in range(10):
+            ledger.record_prediction(B_NAME, A_NAME)
+        ledger.try_promote(B_NAME, "CustomerII")
+        a_city = AttrOrigin("CustomerII", "city")
+        ledger.record_prediction(a_city, B_NAME)
+        ledger.record_prediction(B_NAME, a_city)
+        ledger.record_prediction(A_NAME, B_NAME)
+        assert ledger.contradictions == [(a_city, B_NAME), (B_NAME, a_city)]
+
     def test_promote_without_votes_raises(self):
         with pytest.raises(ValueError):
             SchemaVoteLedger().try_promote(A_NAME, "CustomerIII")
@@ -154,3 +166,29 @@ def test_partner_map_and_pairs_follow_promotions(steps):
         as_pairs = {frozenset((x, y)) for x, ys in partners.items() for y in ys}
         assert as_pairs == set(rebuilt)
         assert all(x in partners[y] for x, ys in partners.items() for y in ys)
+
+
+def _replay(steps):
+    """A ledger after ``steps``, under the loose threshold of the test above."""
+    ledger = SchemaVoteLedger(p=0.95, rho=0.9)
+    for a, b, promote_both in steps:
+        ledger.record_prediction(a, b)
+        ledger.try_promote(a, b.source)
+        if promote_both:
+            ledger.try_promote(b, a.source)
+    return ledger
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps_st, steps_st.filter(bool))
+def test_contradictions_do_not_depend_on_argument_order(steps, probes):
+    logged = []
+    for flip in (False, True):
+        ledger = _replay(steps)
+        before = len(ledger.contradictions)
+        for a, b, _ in probes:
+            if flip:
+                a, b = b, a
+            ledger.record_prediction(a, b)
+        logged.append([{a, b} for a, b in ledger.contradictions[before:]])
+    assert logged[0] == logged[1]
