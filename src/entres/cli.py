@@ -31,10 +31,6 @@ class ParsedRecords:
     store: RecordStore  # internal integer rid -> record
     ids: dict[int, str]  # rid -> external id
 
-    @property
-    def rids(self) -> dict[str, int]:
-        return {ext: rid for rid, ext in self.ids.items()}
-
 
 @dataclass
 class EvalReport:
@@ -57,9 +53,14 @@ class EvalReport:
 
 
 def _text(value: object, what: str, where: str) -> str:
-    """``str()`` of a string, number or boolean; anything else has no text
-    to compare and is rejected."""
-    if not isinstance(value, (str, int, float)):
+    """A string as is, a number as ``str()`` of it and a boolean as its
+    JSON text ``true`` or ``false``; anything else has no text to compare
+    and is rejected."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if not isinstance(value, (int, float)):
         kind = (
             "null" if value is None
             else "an object" if isinstance(value, dict)
@@ -110,7 +111,6 @@ def record_from_doc(doc: dict, rid: int, lineno: int = 0) -> tuple[str, SuperRec
             raise InputError(f"{where}field {attr!r} needs at least one value")
         normalized: list[str] = []
         for v in values:
-            # str() of a number or a boolean case-folds to its JSON text
             nv = "" if v is None else normalize_value(_text(v, f"field {attr!r} holds", where))
             if nv and nv not in normalized:
                 normalized.append(nv)

@@ -13,7 +13,7 @@ the merged roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .matching import verify_pair
 from .pair_index import RecordStore, ValuePairIndex, build_index
@@ -80,15 +80,14 @@ class ResolutionEngine:
         self.index: ValuePairIndex = build_index(self.store, self.config.xi, self.config.q)
         self._original_ids = sorted(records)
 
-    def merge_pair(self, i: int, j: int, matching: FieldMatchingSet) -> int:
-        """Merge the live roots ``i`` and ``j``; returns the surviving root."""
+    def merge_pair(self, i: int, j: int, matching: FieldMatchingSet) -> None:
+        """Merge the live roots ``i`` and ``j``."""
         a, b = self.store[i], self.store[j]
         merged, label_map = merge_super_records(a, b, matching, self.forest)
         del self.store[i]
         del self.store[j]
         self.store[merged.rid] = merged
         self.index.apply_merge(i, j, merged.rid, label_map)
-        return merged.rid
 
     def _run_iteration(self) -> int:
         cfg = self.config

@@ -168,6 +168,7 @@ def resolve_forced_pairs(
     i: int,
     j: int,
     partners: Partners,
+    refined: Iterable[tuple[int, int, float]] = (),
 ) -> list[tuple[int, int, float]]:
     """Map promoted attribute matchings onto field pairs of (i, j).
 
@@ -175,14 +176,18 @@ def resolve_forced_pairs(
     forced when one of the left field's origins has a promoted partner
     among the right field's origins: each left field gathers the partners
     of its origins, and a right field is forced with it iff that set meets
-    the right field's origins.  Only forced pairs are scored.  Should two
-    forced pairs collide on a field (possible once merged fields hold
-    several origins), the higher-similarity pair wins, lowest field
-    indices first.
+    the right field's origins.  Only forced pairs are scored: a pair in
+    ``refined``, the refined field set of (i, j) (see
+    :meth:`~entres.pair_index.ValuePairIndex.cal_bound`), already carries
+    its field similarity; any other pair scores below xi and goes through
+    :func:`~entres.similarity.simf`.  Should two forced pairs collide on a
+    field (possible once merged fields hold several origins), the
+    higher-similarity pair wins, lowest field indices first.
     """
     if not partners:
         return []
     a, b = index.store[i], index.store[j]
+    scores = {(lf, rf): s for lf, rf, s in refined}
     raw: list[tuple[float, int, int]] = []
     for lf, lfield in enumerate(a.fields, 1):
         wanted: set[AttrOrigin] = set()
@@ -192,7 +197,10 @@ def resolve_forced_pairs(
             continue
         for rf, rfield in enumerate(b.fields, 1):
             if not wanted.isdisjoint(rfield.origins):
-                raw.append((simf(lfield, rfield, index.q), lf, rf))
+                s = scores.get((lf, rf))
+                if s is None:
+                    s = simf(lfield, rfield, index.q)
+                raw.append((s, lf, rf))
     raw.sort(key=lambda t: (-t[0], t[1], t[2]))
     used_l: set[int] = set()
     used_r: set[int] = set()
@@ -223,7 +231,7 @@ def verify_pair(
     """
     a, b = index.store[i], index.store[j]
     bound = index.cal_bound(i, j)
-    forced = resolve_forced_pairs(index, i, j, partners)
+    forced = resolve_forced_pairs(index, i, j, partners, bound.refined)
     graph, mapped = build_graph(bound.refined, [(lf, rf) for lf, rf, _ in forced])
     km_edges, _ = km_max_weight(graph)
     matching = FieldMatchingSet(forced + mapped + km_edges)

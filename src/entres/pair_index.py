@@ -6,8 +6,11 @@ The index holds every cross-record value pair with similarity >= xi,
 oriented so the smaller rid comes first and ordered by (rid_1 asc,
 rid_2 asc, similarity desc).  Internally the sequence is kept as runs --
 one sorted list per (rid_1, rid_2) in a dict -- so range lookup is one
-dict lookup, a merge touches only the runs of the two records involved,
-and whole-index scans visit the keys in sorted order.
+dict lookup and whole-index scans visit the keys in sorted order.  A merge
+moves only the runs of the absorbed record: the surviving record keeps
+its labels, so its runs stay as they are and the moved pairs are merged
+into them.  Union by size absorbs the record with fewer members, so each
+pair is moved O(log n) times over a run.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import itertools
 import json
 import math
 from collections import Counter, defaultdict
+from operator import itemgetter
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
 from .records import SuperRecord, ValueLabel
@@ -172,33 +176,54 @@ class ValuePairIndex:
         k: int,
         label_map: Mapping[ValueLabel, ValueLabel],
     ) -> None:
-        """Rewrite the index after records ``i`` and ``j`` merged into ``k``.
+        """Update the index after records ``i`` and ``j`` merged into ``k``.
 
-        Pairs between the two records are deleted; every surviving pair
-        touching either record is relabeled via ``label_map``, re-oriented
-        and re-positioned.  Old pairs collapsing onto the same new label
-        pair (their values were deduplicated by the merge) keep the larger
-        similarity.
+        ``k`` is one of ``i`` and ``j`` and keeps its labels (see
+        :func:`~entres.records.merge_super_records`); ``label_map``
+        relabels the other, absorbed record.  The run between the two
+        records is deleted and every run of ``k`` keeps its pairs.  Each
+        run of the absorbed record moves onto ``k``: its absorbed side is
+        relabeled and its pairs join ``k``'s run with the same other
+        record, in run order.
+
+        An absorbed value equal to one that ``k``'s matched field already
+        held lands on that value's label.  Equal values have equal gram sets
+        and the index holds every pair at or above xi, so ``k``'s run with
+        the same other record already holds that value's pairs under its
+        ``k``-side label, and the moved copies are dropped.  They are found
+        by that label alone: a label new to ``k`` is in none of its runs.
         """
-        affected = sorted(self._keys_by_rid.get(i, set()) | self._keys_by_rid.get(j, set()))
-        buckets: dict[tuple[int, int], list[IndexedPair]] = defaultdict(list)
-        for key in affected:
+        if k not in (i, j):
+            raise ValueError("the merged record keeps the rid of one of the two")
+        gone = j if k == i else i
+        dead = (min(i, j), max(i, j))
+        self._runs.pop(dead, None)
+        self._keys_by_rid[k].discard(dead)
+        for key in self._keys_by_rid.pop(gone, ()):
+            if key == dead:
+                continue
             run = self._runs.pop(key)
-            self._keys_by_rid[key[0]].discard(key)
-            self._keys_by_rid[key[1]].discard(key)
-            if set(key) == {i, j}:
-                continue  # deleted: both endpoints now live in the same record
-            for left, right, sim in run:
-                new = _oriented(label_map.get(left, left), label_map.get(right, right), sim)
-                buckets[(new.left.rid, new.right.rid)].append(new)
-        for key, plist in sorted(buckets.items()):
-            plist.sort(key=_run_order)
-            best: dict[tuple[ValueLabel, ValueLabel], IndexedPair] = {}
-            for pair in plist:  # best first: the first per label pair is its max
-                best.setdefault((pair.left, pair.right), pair)
-            self._runs[key] = list(best.values())
-            self._keys_by_rid[key[0]].add(key)
-            self._keys_by_rid[key[1]].add(key)
+            side = 0 if key[0] == gone else 1  # the absorbed side of each pair
+            x = key[1 - side]
+            self._keys_by_rid[x].discard(key)
+            new_key = (k, x) if k < x else (x, k)
+            kept = self._runs.get(new_key)
+            if kept is None:
+                kept = self._runs[new_key] = []
+                self._keys_by_rid[k].add(new_key)
+                self._keys_by_rid[x].add(new_key)
+            if k < x:
+                held = {left for left, _, _ in kept}
+                kept += [IndexedPair(new, p[1 - side], p.sim)
+                         for p in run if (new := label_map[p[side]]) not in held]
+            else:
+                held = {right for _, right, _ in kept}
+                kept += [IndexedPair(p[1 - side], new, p.sim)
+                         for p in run if (new := label_map[p[side]]) not in held]
+            # run order without a Python-level key: label order, then a
+            # stable sort on similarity descending
+            kept.sort()
+            kept.sort(key=itemgetter(2), reverse=True)
 
     # -- inspection -------------------------------------------------------
 

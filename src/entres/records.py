@@ -4,7 +4,12 @@ union-find forest mapping record ids to entity labels.
 A record is a sequence of fields; each field holds a set of string values
 (stored as a duplicate-free list so that value positions stay stable) plus
 the source attributes that fed it.  Merging two records fuses matched
-fields and concatenates the rest.
+fields and concatenates the rest, in place: the record that survives as
+the union-find root keeps every field and value where it was, matched
+fields gain the absorbed record's new values after their own, and the
+absorbed record's unmatched fields follow.  Only the absorbed record's
+values get new labels, and since the root is chosen by union by size, a
+value is relabeled O(log n) times over a run.
 """
 
 from __future__ import annotations
@@ -122,13 +127,22 @@ def merge_super_records(
 ) -> tuple[SuperRecord, dict[ValueLabel, ValueLabel]]:
     """Fuse ``a`` and ``b`` under a one-to-one field matching.
 
-    Performs ``union(a.rid, b.rid)`` and returns the merged record together
-    with the label remapping for every value of ``a`` and ``b`` (old label
-    -> new label), which the pair index needs for maintenance.
+    Performs ``k = union(a.rid, b.rid)``: the record whose rid survives as
+    the root (the one with more members, by union by size) keeps its
+    fields in place, and the other one is absorbed into it.  Returns the
+    merged record together with the label remapping of the absorbed
+    record's values (old label -> new label), which the pair index needs
+    for maintenance; the survivor's labels do not change, so they are not
+    in the map.
 
-    Field order of the result: matched fields in ``a``'s field order, then
-    ``a``'s unmatched fields, then ``b``'s unmatched fields.  Values equal
-    after normalization are stored once.
+    Field order of the result: the survivor's fields in their own order,
+    each matched one followed by its partner's values that it does not
+    already hold, then the absorbed record's unmatched fields in their
+    order.  A matched field unions the two origin sets.  The survivor's
+    values keep their positions, and an absorbed value equal to one the
+    survivor's field already holds maps onto that value's label; distinct
+    absorbed values get distinct labels, so the map is injective.  Neither
+    input record is modified.
     """
     if forest.find(a.rid) == forest.find(b.rid):
         raise ValueError("cannot merge a record with itself")
@@ -136,36 +150,32 @@ def merge_super_records(
     for lf, rf, _ in pairs:
         if not (1 <= lf <= a.width) or not (1 <= rf <= b.width):
             raise ValueError(f"matching references missing field ({lf}, {rf})")
-    left_used = {lf for lf, _, _ in pairs}
-    right_used = {rf for _, rf, _ in pairs}
 
     k = forest.union(a.rid, b.rid)
+    if k == a.rid:
+        keep, gone = a, b
+        partner_of = {rf: lf for lf, rf, _ in pairs}
+    else:
+        keep, gone = b, a
+        partner_of = {lf: rf for lf, rf, _ in pairs}
+    fields = list(keep.fields)
     label_map: dict[ValueLabel, ValueLabel] = {}
-    new_fields: list[Field] = []
+    for gone_fid, fld in enumerate(gone.fields, 1):
+        fid = partner_of.get(gone_fid)
+        if fid is None:
+            fields.append(fld)
+            fid = len(fields)
+            for vid in range(1, len(fld.values) + 1):
+                label_map[ValueLabel(gone.rid, gone_fid, vid)] = ValueLabel(k, fid, vid)
+            continue
+        kept = fields[fid - 1]
+        values = list(kept.values)
+        pos = {v: vid for vid, v in enumerate(values, 1)}
+        for vid, v in enumerate(fld.values, 1):
+            if v not in pos:
+                values.append(v)
+                pos[v] = len(values)
+            label_map[ValueLabel(gone.rid, gone_fid, vid)] = ValueLabel(k, fid, pos[v])
+        fields[fid - 1] = Field(values=values, origins=kept.origins | fld.origins)
 
-    def emit(af: Field | None, bf: Field | None, a_fid: int, b_fid: int) -> None:
-        fid = len(new_fields) + 1
-        values: list[str] = []
-        pos: dict[str, int] = {}
-        origins: frozenset[AttrOrigin] = frozenset()
-        for fld, rid, old_fid in ((af, a.rid, a_fid), (bf, b.rid, b_fid)):
-            if fld is None:
-                continue
-            origins |= fld.origins
-            for vid, v in enumerate(fld.values, 1):
-                if v not in pos:
-                    values.append(v)
-                    pos[v] = len(values)
-                label_map[ValueLabel(rid, old_fid, vid)] = ValueLabel(k, fid, pos[v])
-        new_fields.append(Field(values=values, origins=origins))
-
-    for lf, rf, _ in pairs:
-        emit(a.fields[lf - 1], b.fields[rf - 1], lf, rf)
-    for fid, fld in enumerate(a.fields, 1):
-        if fid not in left_used:
-            emit(fld, None, fid, 0)
-    for fid, fld in enumerate(b.fields, 1):
-        if fid not in right_used:
-            emit(None, fld, 0, fid)
-
-    return SuperRecord(rid=k, fields=new_fields), label_map
+    return SuperRecord(rid=k, fields=fields), label_map

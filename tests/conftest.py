@@ -6,9 +6,16 @@ from pathlib import Path
 import pytest
 
 from entres.cli import parse_input
-from entres.pair_index import RecordStore, ValuePairIndex
-from entres.records import AttrOrigin, basic_record
-from entres.similarity import simf
+from entres.pair_index import IndexedPair, RecordStore, ValuePairIndex, _oriented, _run_order
+from entres.records import (
+    AttrOrigin,
+    EntityForest,
+    Field,
+    SuperRecord,
+    ValueLabel,
+    basic_record,
+)
+from entres.similarity import FieldMatchingSet, simf
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "demos" / "data"
 CUSTOMERS = DATA_DIR / "customers.jsonl"
@@ -157,3 +164,75 @@ def reference_cal_bound(
     )
     m = min(index.store[i].width, index.store[j].width)
     return min(1.0, sum(up_by_left.values()) / m), tuple(refined), has_multiple
+
+
+def reference_merge_super_records(
+    a: SuperRecord,
+    b: SuperRecord,
+    matching,
+    forest: EntityForest,
+) -> tuple[SuperRecord, dict[ValueLabel, ValueLabel]]:
+    """The simple path for ``records.merge_super_records``: renumber every
+    field of the merged record (matched fields in ``a``'s order, then
+    ``a``'s unmatched fields, then ``b``'s) and map every label of both
+    records."""
+    if forest.find(a.rid) == forest.find(b.rid):
+        raise ValueError("cannot merge a record with itself")
+    pairs = FieldMatchingSet(matching)
+    left_used = {lf for lf, _, _ in pairs}
+    right_used = {rf for _, rf, _ in pairs}
+    k = forest.union(a.rid, b.rid)
+    label_map: dict[ValueLabel, ValueLabel] = {}
+    new_fields: list[Field] = []
+
+    def emit(af, bf, a_fid, b_fid):
+        fid = len(new_fields) + 1
+        values: list[str] = []
+        pos: dict[str, int] = {}
+        origins: frozenset[AttrOrigin] = frozenset()
+        for fld, rid, old_fid in ((af, a.rid, a_fid), (bf, b.rid, b_fid)):
+            if fld is None:
+                continue
+            origins |= fld.origins
+            for vid, v in enumerate(fld.values, 1):
+                if v not in pos:
+                    values.append(v)
+                    pos[v] = len(values)
+                label_map[ValueLabel(rid, old_fid, vid)] = ValueLabel(k, fid, pos[v])
+        new_fields.append(Field(values=values, origins=origins))
+
+    for lf, rf, _ in pairs:
+        emit(a.fields[lf - 1], b.fields[rf - 1], lf, rf)
+    for fid, fld in enumerate(a.fields, 1):
+        if fid not in left_used:
+            emit(fld, None, fid, 0)
+    for fid, fld in enumerate(b.fields, 1):
+        if fid not in right_used:
+            emit(None, fld, 0, fid)
+    return SuperRecord(rid=k, fields=new_fields), label_map
+
+
+def reference_apply_merge(index: ValuePairIndex, i: int, j: int, k: int, label_map) -> None:
+    """The simple path for ``ValuePairIndex.apply_merge``, usable as the
+    method itself: pop every run of both records, relabel and re-orient
+    every pair (labels missing from ``label_map`` stay), and rebuild each
+    run sorted, keeping the first pair per label pair."""
+    affected = sorted(index._keys_by_rid.get(i, set()) | index._keys_by_rid.get(j, set()))
+    buckets: dict[tuple[int, int], list[IndexedPair]] = defaultdict(list)
+    for key in affected:
+        run = index._runs.pop(key)
+        index._keys_by_rid[key[0]].discard(key)
+        index._keys_by_rid[key[1]].discard(key)
+        if set(key) == {i, j}:
+            continue
+        for left, right, sim in run:
+            new = _oriented(label_map.get(left, left), label_map.get(right, right), sim)
+            buckets[(new.left.rid, new.right.rid)].append(new)
+    for key, plist in sorted(buckets.items()):
+        plist.sort(key=_run_order)
+        best: dict[tuple[ValueLabel, ValueLabel], IndexedPair] = {}
+        for pair in plist:
+            best.setdefault((pair.left, pair.right), pair)
+        index._runs[key] = list(best.values())
+        index._keys_by_rid[key[0]].add(key)
+        index._keys_by_rid[key[1]].add(key)

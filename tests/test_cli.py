@@ -57,7 +57,7 @@ class TestParseInput:
         parsed = parse_input(str(CUSTOMERS))
         assert len(parsed.store) == 6
         assert parsed.ids[1] == "r1"
-        assert parsed.rids["r6"] == 6
+        assert parsed.ids[6] == "r6"
         # values arrive normalized
         assert parsed.store[6].fields[4].values == ["electronic"]
 
@@ -128,6 +128,17 @@ class TestParseInput:
                      '{"attr": "n", "values": [1, 1.5, true, false, 1.0, "1"]}]}\n')
         # 1 and "1" are one value; 1.0 keeps its own text
         assert parse_input(str(p)).store[1].fields[0].values == ["1", "1.5", "true", "false", "1.0"]
+
+    def test_boolean_reads_as_json_text_in_every_position(self, tmp_path):
+        p = tmp_path / "r.jsonl"
+        p.write_text('{"id": true, "source": false, "fields": ['
+                     '{"attr": true, "values": [false]}, {"attr": 1.5, "values": [true]}]}\n')
+        parsed = parse_input(str(p))
+        assert parsed.ids[1] == "true"
+        fields = parsed.store[1].fields
+        assert [set(f.origins) for f in fields] == [{AttrOrigin("false", "true")},
+                                                   {AttrOrigin("false", "1.5")}]
+        assert [f.values for f in fields] == [["false"], ["true"]]
 
     @pytest.mark.parametrize("value, kind", [(["p", "q"], "a list"), ({"a": 1}, "an object"),
                                              ([], "a list")])

@@ -2,11 +2,19 @@ import random
 
 import pytest
 
+import entres.engine as engine_module
 import entres.matching as matching
 from entres.engine import EngineConfig, ResolutionEngine, run
+from entres.pair_index import ValuePairIndex
 from entres.records import AttrOrigin, Field, SuperRecord, basic_record
 from entres.synth import clustered_corpus, split_attribute_corpus
-from tests.conftest import lookalike_store, random_store, reference_forced_pairs
+from tests.conftest import (
+    lookalike_store,
+    random_store,
+    reference_apply_merge,
+    reference_forced_pairs,
+    reference_merge_super_records,
+)
 
 
 def entity_sets(result):
@@ -143,10 +151,11 @@ class TestPromotedMatchings:
         assert len(result.entities) == 20
 
         # the same run with the simple triple loop over the ledger's
-        # promotions in place of the partner-map lookup
+        # promotions in place of the partner-map lookup, scoring every
+        # forced pair through simf instead of the refined field set
         engine = ResolutionEngine(dict(store))
 
-        def reference(index, i, j, partners):
+        def reference(index, i, j, partners, refined=()):
             promoted = list(dict.fromkeys(p.as_pair() for p in engine.ledger.promoted()))
             return reference_forced_pairs(index, i, j, promoted)
 
@@ -155,6 +164,23 @@ class TestPromotedMatchings:
         assert slow.labels == result.labels
         assert slow.merge_history == result.merge_history
         assert slow.promoted == result.promoted
+
+
+class TestMergeInPlace:
+    @pytest.mark.parametrize(
+        "store",
+        [clustered_corpus(30, 8)[0], split_attribute_corpus(40)[0], lookalike_store(20, 0)],
+        ids=["clustered", "split_attribute", "lookalike"],
+    )
+    def test_same_as_rewrite_everything_merge(self, store, monkeypatch):
+        in_place = run(dict(store))
+        # the same run with every field renumbered and every pair of both
+        # records rewritten at each merge
+        monkeypatch.setattr(engine_module, "merge_super_records", reference_merge_super_records)
+        monkeypatch.setattr(ValuePairIndex, "apply_merge", reference_apply_merge)
+        rewritten = run(dict(store))
+        assert in_place.labels == rewritten.labels
+        assert in_place.merge_history == rewritten.merge_history
 
 
 def with_shuffled_ids(store, rng):

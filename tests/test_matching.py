@@ -14,6 +14,7 @@ from entres.matching import (
 )
 from entres.pair_index import build_index
 from entres.records import AttrOrigin, Field, SuperRecord
+from entres.similarity import simf
 from tests.conftest import partners_of, random_store, reference_forced_pairs
 
 XI = 0.5
@@ -246,3 +247,19 @@ def test_resolve_forced_pairs_matches_reference(left, right, pairs):
     promoted = list(dict.fromkeys(frozenset(p) for p in pairs))
     for i, j in ((1, 2), (2, 1)):
         assert resolve_forced_pairs(index, i, j, partners) == reference_forced_pairs(index, i, j, promoted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields_st, fields_st, promoted_st)
+def test_forced_scores_from_refined_set_equal_simf(left, right, pairs):
+    # the refined field set holds each field pair's best value pair, so its
+    # score is simf bit for bit; pairs missing from it fall back to simf
+    store = {1: SuperRecord(1, left), 2: SuperRecord(2, right)}
+    index = build_index(store, XI)
+    refined = index.cal_bound(1, 2).refined
+    for lf, rf, s in refined:
+        assert s == simf(left[lf - 1], right[rf - 1], index.q)
+    partners = partners_of(pairs)
+    assert resolve_forced_pairs(index, 1, 2, partners, refined) == resolve_forced_pairs(
+        index, 1, 2, partners
+    )

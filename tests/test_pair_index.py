@@ -335,6 +335,38 @@ class TestApplyMerge:
                 assert got == want
                 assert index.check_sorted()
 
+    @staticmethod
+    def _merge_chain(seed, n_records, n_merges):
+        """Merge random record pairs of a random store, checking after each
+        merge that the maintained index equals a rebuild, pair for pair and
+        in run order.  Returns how many merges the higher rid survived and
+        how many moved pairs were dropped as duplicates of the survivor's."""
+        rng = random.Random(seed)
+        store = random_store(rng, n_records, max_values=3)
+        index = build_index(store, XI)
+        forest = EntityForest(store)
+        higher = dropped = 0
+        for _ in range(n_merges):
+            if len(store) < 2:
+                break
+            i, j = sorted(rng.sample(sorted(store), 2))
+            kept = len(index) - len(index.lookup_range(i, j))
+            higher += _merge_and_update(store, index, i, j, forest).rid == j
+            dropped += kept - len(index)
+            assert list(index.iter_pairs()) == list(build_index(store, XI).iter_pairs())
+            assert index.check_sorted()
+        return higher, dropped
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 14), st.integers(1, 8))
+    def test_merge_chain_matches_rebuild_in_order(self, seed, n_records, n_merges):
+        self._merge_chain(seed, n_records, n_merges)
+
+    def test_merge_chains_cover_higher_rid_survivor_and_duplicates(self):
+        counts = [self._merge_chain(seed, 12, 8) for seed in range(20)]
+        assert sum(higher for higher, _ in counts) > 0
+        assert sum(dropped for _, dropped in counts) > 0
+
 
 class TestInspection:
     def test_rows_are_numbered_in_order(self, customer_store):

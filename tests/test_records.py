@@ -7,6 +7,7 @@ from entres.records import (
     AttrOrigin,
     EntityForest,
     Field,
+    SuperRecord,
     ValueLabel,
     basic_record,
     merge_super_records,
@@ -120,16 +121,25 @@ class TestMerge:
             merge_super_records(a, b, [], forest)
 
     def test_label_map_covers_all_values(self):
-        a, b = self._pair()
-        merged, label_map = merge_super_records(a, b, [(1, 1, 0.9)], EntityForest([1, 6]))
-        assert set(label_map) == {
-            ValueLabel(1, 1, 1), ValueLabel(1, 2, 1),
-            ValueLabel(6, 1, 1), ValueLabel(6, 2, 1),
-        }
-        for new in label_map.values():
-            assert new.rid == merged.rid
-            fld = merged.fields[new.fid - 1]
-            assert 1 <= new.vid <= len(fld.values)
+        a, _ = self._pair()
+        # b's first field already holds the value of a's matched field
+        b = SuperRecord(6, [Field(["electronic", "electronics"], {_origin("con", "CustomerIII")}),
+                            Field(["bush@gmail"], {_origin("mail", "CustomerIII")})])
+        forest = EntityForest([1, 6, 99])
+        forest.union(6, 99)  # 6 now has more members, so the higher rid survives
+        merged, label_map = merge_super_records(a, b, [(1, 1, 0.9)], forest)
+        assert merged.rid == 6
+        assert set(label_map) == {ValueLabel(1, 1, 1), ValueLabel(1, 2, 1)}
+        # the survivor's fields are unchanged prefixes of the merged ones
+        for kept, fld in zip(b.fields, merged.fields):
+            assert fld.values[: len(kept.values)] == kept.values
+        assert merged.fields[0].values == ["electronic", "electronics"]
+        assert merged.fields[1] is b.fields[1]
+        assert merged.fields[2].values == ["831-432"]
+        # a value the survivor already holds maps onto its existing label
+        assert label_map[ValueLabel(1, 1, 1)] == ValueLabel(6, 1, 2)
+        assert label_map[ValueLabel(1, 2, 1)] == ValueLabel(6, 3, 1)
+        assert len(set(label_map.values())) == len(label_map)
 
     def test_field_count_bound(self):
         rng = random.Random(9)
