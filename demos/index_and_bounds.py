@@ -1,6 +1,7 @@
-"""Inside the value-pair index: similarity join, bounds, and pruning.
+"""Inside the field-pair index: similarity join, bounds, and pruning.
 
-Shows the indexed value pairs for the customer scenario, then how the
+Shows the indexed field pairs for the customer scenario, each with the
+best similarity of its fields' values, then how the
 per-record-pair upper bound, exact when no field is multiple, splits
 all record pairs into pruned, direct, and candidate sets -- only
 candidates ever reach the bipartite matching.  Run with:
@@ -26,13 +27,12 @@ def main() -> None:
     print()
 
     index = build_index(parsed.store, xi=0.5)
-    print(f"== indexed value pairs (xi = 0.5): {len(index)} rows ==")
+    print(f"== indexed field pairs (xi = 0.5): {len(index)} rows ==")
     for pid, left, right, sim in index.rows():
-        lrec, rrec = parsed.store[left.rid], parsed.store[right.rid]
-        lv = lrec.fields[left.fid - 1].values[left.vid - 1]
-        rv = rrec.fields[right.fid - 1].values[right.vid - 1]
-        print(f"  #{pid:>2}  ({parsed.ids[left.rid]}.f{left.fid} {lv!r}) ~ "
-              f"({parsed.ids[right.rid]}.f{right.fid} {rv!r})  sim = {sim:.4f}")
+        lv = parsed.store[left.rid].fields[left.fid - 1].values
+        rv = parsed.store[right.rid].fields[right.fid - 1].values
+        print(f"  #{pid:>2}  ({parsed.ids[left.rid]}.f{left.fid} {lv}) ~ "
+              f"({parsed.ids[right.rid]}.f{right.fid} {rv})  sim = {sim:.4f}")
     print()
 
     print("== bounds for every record pair (delta = 0.5) ==")

@@ -1,6 +1,6 @@
 """Entity resolution for records with heterogeneous schemas.
 
-The pipeline: a similarity join indexes all similar cross-record value
+The pipeline: a similarity join indexes all similar cross-record field
 pairs once; each iteration derives a record-similarity upper bound from
 the index to prune or directly settle pairs, verifies the rest with a
 maximum-weight bipartite field matching, votes on schema matchings, and
@@ -10,13 +10,12 @@ merges similar records into super records until nothing merges.
 from .cli import evaluate, parse_input
 from .engine import EngineConfig, ResolutionEngine, ResolutionResult, run
 from .matching import build_graph, km_max_weight, verify_pair
-from .pair_index import BoundResult, IndexedPair, ValuePairIndex, build_index
+from .pair_index import BoundResult, FieldLabel, IndexedPair, ValuePairIndex, build_index
 from .records import (
     AttrOrigin,
     EntityForest,
     Field,
     SuperRecord,
-    ValueLabel,
     basic_record,
     merge_super_records,
     normalize_value,
@@ -30,13 +29,13 @@ __all__ = [
     "EngineConfig",
     "EntityForest",
     "Field",
+    "FieldLabel",
     "FieldMatchingSet",
     "IndexedPair",
     "ResolutionEngine",
     "ResolutionResult",
     "SchemaVoteLedger",
     "SuperRecord",
-    "ValueLabel",
     "ValuePairIndex",
     "basic_record",
     "build_graph",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import IO, Hashable, Mapping
 
 from .engine import EngineConfig, ResolutionEngine
@@ -40,16 +40,6 @@ class EvalReport:
     true_pairs: int
     emitted_pairs: int
     gold_pairs: int
-
-    def as_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "true_pairs": self.true_pairs,
-            "emitted_pairs": self.emitted_pairs,
-            "gold_pairs": self.gold_pairs,
-        }
 
 
 def _text(value: object, what: str, where: str) -> str:
@@ -190,16 +180,21 @@ def evaluate(
 
 
 def load_labels(path: str) -> dict[str, str]:
+    """Read a label file: one ``{"id": ..., "entity": ...}`` line per
+    record.  Both are taken as text the way an input id is, so a label
+    file names a record exactly as the input does."""
     out: dict[str, str] = {}
     with open(path, encoding="utf-8") as fp:
         for lineno, line in enumerate(fp, 1):
             if not line.strip():
                 continue
+            where = f"line {lineno}: "
             try:
                 doc = json.loads(line)
-                out[str(doc["id"])] = str(doc["entity"])
+                ext_id, entity = doc["id"], doc["entity"]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise InputError(f"line {lineno}: bad label line ({exc})") from exc
+                raise InputError(f"{where}bad label line ({exc})") from exc
+            out[_text(ext_id, "key 'id' holds", where)] = _text(entity, "key 'entity' holds", where)
     if not out:
         raise InputError("no labels in file")
     return out
@@ -286,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"entres: {exc}", file=sys.stderr)
             return 1
         report_fp = sys.stdout if args.out else sys.stderr
-        json.dump(report.as_dict(), report_fp)
+        json.dump(asdict(report), report_fp)
         report_fp.write("\n")
     return 0
 

@@ -7,7 +7,7 @@ bipartite matching.  A direct pair whose endpoint was already touched by
 a merge this iteration is deferred -- its cached bound no longer
 describes the current record -- and is simply regenerated next round.
 Candidates are re-rooted through the union-find before verification,
-which is sound because every surviving value pair stays reachable under
+which is sound because every surviving field pair stays reachable under
 the merged roots.
 """
 
@@ -83,11 +83,11 @@ class ResolutionEngine:
     def merge_pair(self, i: int, j: int, matching: FieldMatchingSet) -> None:
         """Merge the live roots ``i`` and ``j``."""
         a, b = self.store[i], self.store[j]
-        merged, label_map = merge_super_records(a, b, matching, self.forest)
+        merged, field_map = merge_super_records(a, b, matching, self.forest)
         del self.store[i]
         del self.store[j]
         self.store[merged.rid] = merged
-        self.index.apply_merge(i, j, merged.rid, label_map)
+        self.index.apply_merge(i, j, merged.rid, field_map)
 
     def _run_iteration(self) -> int:
         cfg = self.config

@@ -1,16 +1,21 @@
-"""The sorted value-pair index: off-line construction by similarity join,
-range lookup, a record-similarity upper bound, candidate generation, and
+"""The field-pair index: off-line construction by similarity join, range
+lookup, a record-similarity upper bound, candidate generation, and
 maintenance under record merges.
 
-The index holds every cross-record value pair with similarity >= xi,
-oriented so the smaller rid comes first and ordered by (rid_1 asc,
-rid_2 asc, similarity desc).  Internally the sequence is kept as runs --
-one sorted list per (rid_1, rid_2) in a dict -- so range lookup is one
-dict lookup and whole-index scans visit the keys in sorted order.  A merge
-moves only the runs of the absorbed record: the surviving record keeps
-its labels, so its runs stay as they are and the moved pairs are merged
-into them.  Union by size absorbs the record with fewer members, so each
-pair is moved O(log n) times over a run.
+For every pair of fields of two different records whose most similar
+value pair reaches xi, the index holds that best similarity: exactly the
+refined field set the bound, the direct merges and the verification
+read.  It is kept as runs, one list of ``(left fid, right fid, sim)``
+per record pair ``(rid_1, rid_2)`` with ``rid_1 < rid_2``, in a dict, so
+range lookup is one dict lookup and whole-index scans visit the keys in
+sorted order.  A run holds one entry per field pair and is in no
+particular order; the inspection views sort it.
+
+Field similarity of a merged field is the maximum over its two parts, so
+a merge only maps the absorbed record's field ids onto the merged record
+and keeps the best entry per field pair.  The surviving record keeps its
+fields, so its runs stay as they are; union by size absorbs the record
+with fewer members, so each entry is moved O(log n) times over a run.
 """
 
 from __future__ import annotations
@@ -19,49 +24,54 @@ import itertools
 import json
 import math
 from collections import Counter, defaultdict
-from operator import itemgetter
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
-from .records import SuperRecord, ValueLabel
+from .records import SuperRecord
 from .similarity import DEFAULT_Q, gram_jaccard, qgrams
 
 RecordStore = dict[int, SuperRecord]
+Run = list[tuple[int, int, float]]  # (left fid, right fid, best similarity)
+
+
+class FieldLabel(NamedTuple):
+    """Position of one field in the record store; ``fid`` is 1-based."""
+
+    rid: int
+    fid: int
 
 
 class IndexedPair(NamedTuple):
-    """One indexed value pair.  ``left.rid < right.rid`` always."""
+    """One indexed field pair.  ``left.rid < right.rid`` always."""
 
-    left: ValueLabel
-    right: ValueLabel
+    left: FieldLabel
+    right: FieldLabel
     sim: float
-
-
-def _run_order(pair: IndexedPair) -> tuple:
-    # within a (rid_1, rid_2) run both rids are fixed: similarity
-    # descending, then the field and value positions of each label
-    return (-pair.sim, pair.left, pair.right)
 
 
 class BoundResult(NamedTuple):
     """Upper bound on the similarity of one record pair, exact when no
-    field is multiple, plus the refined field set (per field pair, only the
-    best-scoring value pair)."""
+    field is multiple, plus the refined field set (per field pair, the
+    best value-pair similarity)."""
 
     up: float
     refined: tuple[tuple[int, int, float], ...]
     has_multiple: bool
 
 
-def _oriented(left: ValueLabel, right: ValueLabel, sim: float) -> IndexedPair:
-    if left.rid == right.rid:
-        raise ValueError("indexed pairs must span two records")
-    if left.rid > right.rid:
-        return IndexedPair(right, left, sim)
-    return IndexedPair(left, right, sim)
+def _fold(run: Run) -> Run:
+    """One entry per field pair, holding its best similarity, in order of
+    first appearance.  A run without repeats is returned as it is."""
+    best: dict[tuple[int, int], float] = {}
+    for lf, rf, sim in run:
+        if sim > best.get((lf, rf), -1.0):
+            best[lf, rf] = sim
+    if len(best) == len(run):
+        return run
+    return [(lf, rf, sim) for (lf, rf), sim in best.items()]
 
 
 class ValuePairIndex:
-    """Catalogue of similar cross-record value pairs (see module docstring)."""
+    """Catalogue of similar cross-record field pairs (see module docstring)."""
 
     def __init__(self, store: RecordStore, xi: float, q: int = DEFAULT_Q) -> None:
         if not (0.0 < xi <= 1.0):
@@ -69,7 +79,7 @@ class ValuePairIndex:
         self.store = store
         self.xi = xi
         self.q = q
-        self._runs: dict[tuple[int, int], list[IndexedPair]] = {}
+        self._runs: dict[tuple[int, int], Run] = {}
         self._keys_by_rid: dict[int, set[tuple[int, int]]] = defaultdict(set)
 
     # -- construction -----------------------------------------------------
@@ -78,27 +88,31 @@ class ValuePairIndex:
     def from_pairs(
         cls,
         store: RecordStore,
-        pairs: Iterable[tuple[ValueLabel, ValueLabel, float]],
+        pairs: Iterable[tuple[tuple[int, int], tuple[int, int], float]],
         xi: float,
         q: int = DEFAULT_Q,
     ) -> "ValuePairIndex":
-        """Assemble an index from explicit value pairs (no join performed)."""
+        """Assemble an index from ``((rid, fid), (rid, fid), sim)`` field
+        pairs, either side first (no join performed); a field pair given
+        more than once keeps its best similarity."""
         index = cls(store, xi, q)
-        for left, right, sim in pairs:
-            index._insert(_oriented(ValueLabel(*left), ValueLabel(*right), sim))
-        for run in index._runs.values():
-            run.sort(key=_run_order)
+        runs = index._runs
+        for (ri, fi), (rj, fj), sim in pairs:
+            if ri == rj:
+                raise ValueError("indexed pairs must span two records")
+            if ri > rj:
+                ri, fi, rj, fj = rj, fj, ri, fi
+            run = runs.get((ri, rj))
+            if run is None:
+                key = (ri, rj)  # one tuple for the dict and both key sets
+                runs[key] = [(fi, fj, sim)]
+                index._keys_by_rid[ri].add(key)
+                index._keys_by_rid[rj].add(key)
+            else:
+                run.append((fi, fj, sim))
+        for key, run in runs.items():
+            runs[key] = _fold(run)
         return index
-
-    def _insert(self, pair: IndexedPair) -> None:
-        key = (pair.left.rid, pair.right.rid)
-        run = self._runs.get(key)
-        if run is None:
-            self._runs[key] = [pair]
-            self._keys_by_rid[key[0]].add(key)
-            self._keys_by_rid[key[1]].add(key)
-        else:
-            run.append(pair)
 
     # -- read operations --------------------------------------------------
 
@@ -106,42 +120,38 @@ class ValuePairIndex:
         return sum(len(run) for run in self._runs.values())
 
     def lookup_range(self, i: int, j: int) -> tuple[IndexedPair, ...]:
-        """All pairs between records ``i`` and ``j`` (``i < j``), best first."""
+        """All field pairs between records ``i`` and ``j`` (``i < j``), best
+        first."""
         if i >= j:
             raise ValueError("lookup requires i < j")
-        return tuple(self._runs.get((i, j), ()))
+        return tuple(self._labelled(i, j))
 
     def cal_bound(self, i: int, j: int) -> BoundResult:
         """Upper bound of the record similarity of (i, j).
 
-        Keeps, per field pair, only the maximum-similarity value pair (the
-        refined field set), and sums per left-side field the best covering
-        pair.  A field on either side covered by more than one refined pair
-        makes the pair "multiple"; only when neither side has one is the
-        bound exact.
+        The run of (i, j) is the refined field set; the bound sums, per
+        left-side field, its best covering pair.  A field on either side
+        covered by more than one refined pair makes the pair "multiple";
+        only when neither side has one is the bound exact.
         """
         if i >= j:
             raise ValueError("lookup requires i < j")
-        refined: list[tuple[int, int, float]] = []
-        seen_fields: set[tuple[int, int]] = set()
-        up_by_left: dict[int, float] = {}
-        # sim-descending: the first hit per field pair, and per left field,
-        # is its maximum
-        for left, right, sim in self._runs.get((i, j), ()):
-            fkey = (left.fid, right.fid)
-            if fkey not in seen_fields:
-                seen_fields.add(fkey)
-                refined.append((left.fid, right.fid, sim))
-                up_by_left.setdefault(left.fid, sim)
-        if not refined:
+        run = self._runs.get((i, j))
+        if not run:
             return BoundResult(0.0, (), False)
-        n = len(refined)
-        has_multiple = len(up_by_left) < n or len({rf for _, rf in seen_fields}) < n
+        up_by_left: dict[int, float] = {}
+        for lf, _, sim in run:
+            if sim > up_by_left.get(lf, 0.0):
+                up_by_left[lf] = sim
+        n = len(run)
+        has_multiple = len(up_by_left) < n or len({rf for _, rf, _ in run}) < n
         m = min(self.store[i].width, self.store[j].width)
-        # field collisions can push the raw sum past m; the similarity
-        # itself never exceeds 1, so clamp
-        up = min(1.0, sum(up_by_left.values()) / m)
-        return BoundResult(up, tuple(refined), has_multiple)
+        # a float sum depends on the order of its terms: largest first, so
+        # the bound does not depend on the order of the run.  Field
+        # collisions can push the raw sum past m; the similarity itself
+        # never exceeds 1, so clamp
+        up = min(1.0, sum(sorted(up_by_left.values(), reverse=True)) / m)
+        return BoundResult(up, tuple(run), has_multiple)
 
     def generate_candidates(
         self, delta: float
@@ -169,29 +179,18 @@ class ValuePairIndex:
 
     # -- maintenance ------------------------------------------------------
 
-    def apply_merge(
-        self,
-        i: int,
-        j: int,
-        k: int,
-        label_map: Mapping[ValueLabel, ValueLabel],
-    ) -> None:
+    def apply_merge(self, i: int, j: int, k: int, field_map: Mapping[int, int]) -> None:
         """Update the index after records ``i`` and ``j`` merged into ``k``.
 
-        ``k`` is one of ``i`` and ``j`` and keeps its labels (see
-        :func:`~entres.records.merge_super_records`); ``label_map``
-        relabels the other, absorbed record.  The run between the two
-        records is deleted and every run of ``k`` keeps its pairs.  Each
-        run of the absorbed record moves onto ``k``: its absorbed side is
-        relabeled and its pairs join ``k``'s run with the same other
-        record, in run order.
-
-        An absorbed value equal to one that ``k``'s matched field already
-        held lands on that value's label.  Equal values have equal gram sets
-        and the index holds every pair at or above xi, so ``k``'s run with
-        the same other record already holds that value's pairs under its
-        ``k``-side label, and the moved copies are dropped.  They are found
-        by that label alone: a label new to ``k`` is in none of its runs.
+        ``k`` is one of ``i`` and ``j`` and keeps its field ids (see
+        :func:`~entres.records.merge_super_records`); ``field_map`` takes
+        each field id of the other, absorbed record to its id in ``k``.
+        The run between the two records is deleted and every run of ``k``
+        keeps its entries.  Each run of the absorbed record moves onto
+        ``k``: its absorbed side is mapped, and where ``k`` already has a
+        run with the same other record, the two are folded to the best
+        entry per field pair (a matched field's similarity is the maximum
+        over its two parts).
         """
         if k not in (i, j):
             raise ValueError("the merged record keeps the rid of one of the two")
@@ -203,41 +202,41 @@ class ValuePairIndex:
             if key == dead:
                 continue
             run = self._runs.pop(key)
-            side = 0 if key[0] == gone else 1  # the absorbed side of each pair
+            side = 0 if key[0] == gone else 1  # the absorbed side of each entry
             x = key[1 - side]
             self._keys_by_rid[x].discard(key)
-            new_key = (k, x) if k < x else (x, k)
-            kept = self._runs.get(new_key)
-            if kept is None:
-                kept = self._runs[new_key] = []
-                self._keys_by_rid[k].add(new_key)
-                self._keys_by_rid[x].add(new_key)
             if k < x:
-                held = {left for left, _, _ in kept}
-                kept += [IndexedPair(new, p[1 - side], p.sim)
-                         for p in run if (new := label_map[p[side]]) not in held]
+                new_key = (k, x)
+                moved = [(field_map[e[side]], e[1 - side], e[2]) for e in run]
             else:
-                held = {right for _, right, _ in kept}
-                kept += [IndexedPair(p[1 - side], new, p.sim)
-                         for p in run if (new := label_map[p[side]]) not in held]
-            # run order without a Python-level key: label order, then a
-            # stable sort on similarity descending
-            kept.sort()
-            kept.sort(key=itemgetter(2), reverse=True)
+                new_key = (x, k)
+                moved = [(e[1 - side], field_map[e[side]], e[2]) for e in run]
+            kept = self._runs.get(new_key)
+            # field_map is one-to-one, so moved entries collide only with kept ones
+            self._runs[new_key] = _fold(kept + moved) if kept else moved
+            self._keys_by_rid[k].add(new_key)
+            self._keys_by_rid[x].add(new_key)
 
     # -- inspection -------------------------------------------------------
 
-    def iter_pairs(self) -> Iterator[IndexedPair]:
-        """All pairs in index order (rid_1 asc, rid_2 asc, sim desc)."""
-        for key in sorted(self._runs):
-            yield from self._runs[key]
+    def _labelled(self, i: int, j: int) -> Iterator[IndexedPair]:
+        for lf, rf, sim in sorted(self._runs.get((i, j), ()), key=lambda e: (-e[2], e[0], e[1])):
+            yield IndexedPair(FieldLabel(i, lf), FieldLabel(j, rf), sim)
 
-    def rows(self) -> Iterator[tuple[int, ValueLabel, ValueLabel, float]]:
+    def iter_pairs(self) -> Iterator[IndexedPair]:
+        """All field pairs in index order: (rid_1, rid_2) ascending, then
+        similarity descending, then field ids."""
+        for key in sorted(self._runs):
+            yield from self._labelled(*key)
+
+    def rows(self) -> Iterator[tuple[int, FieldLabel, FieldLabel, float]]:
         """(pid, left label, right label, similarity), pid 1-based."""
         for pid, pair in enumerate(self.iter_pairs(), 1):
             yield pid, pair.left, pair.right, pair.sim
 
     def dump_jsonl(self, fp: IO[str]) -> None:
+        """One ``{"pid", "left": [rid, fid], "right": [rid, fid], "sim"}``
+        line per field pair, in index order."""
         for pid, left, right, sim in self.rows():
             fp.write(
                 json.dumps(
@@ -245,17 +244,6 @@ class ValuePairIndex:
                 )
                 + "\n"
             )
-
-    def check_sorted(self) -> bool:
-        """Full-scan assertion of the index sort invariant (test hook)."""
-        for key, run in self._runs.items():
-            for a, b in zip(run, run[1:]):
-                if _run_order(a) > _run_order(b):
-                    return False
-            for pair in run:
-                if (pair.left.rid, pair.right.rid) != key or pair.left.rid >= pair.right.rid:
-                    return False
-        return True
 
 
 def _min_overlap(size: int, xi: float) -> int:
@@ -308,35 +296,34 @@ def _similar_gram_sets(
 
 
 def build_index(store: RecordStore, xi: float, q: int = DEFAULT_Q) -> ValuePairIndex:
-    """Similarity join over every value in ``store``: index all cross-record
-    value pairs with simv >= xi.
+    """Similarity join over every value in ``store``: index every
+    cross-record field pair whose best value pair has simv >= xi.
 
-    Similarity depends on a value only through its gram set, so labels are
-    grouped by gram set and only the distinct sets are joined (see
-    :func:`_similar_gram_sets`).  Labels sharing a set pair at
-    ``gram_jaccard(g, g)`` (1.0); each similar set pair expands to all its
-    cross-record label pairs.
+    Similarity depends on a value only through its gram set, so fields are
+    grouped by the gram sets of their values and only the distinct sets
+    are joined (see :func:`_similar_gram_sets`).  Fields sharing a set
+    pair at ``gram_jaccard(g, g)`` (1.0); each similar set pair expands to
+    all its cross-record field pairs.  A field pair reached through
+    several value pairs keeps the best (see :meth:`ValuePairIndex.from_pairs`).
     """
-    index = ValuePairIndex(store, xi, q)
-    groups: dict[frozenset[str], list[ValueLabel]] = defaultdict(list)
+    groups: dict[frozenset[str], list[tuple[int, int]]] = defaultdict(list)
     for rid in sorted(store):
         for fid, fld in enumerate(store[rid].fields, 1):
-            for vid, v in enumerate(fld.values, 1):
-                groups[qgrams(v, q)].append(ValueLabel(rid, fid, vid))
+            for v in fld.values:
+                groups[qgrams(v, q)].append((rid, fid))
 
-    for g, labels in groups.items():
-        if len(labels) > 1:
-            sim = gram_jaccard(g, g)
-            for left, right in itertools.combinations(labels, 2):
-                if left.rid != right.rid:
-                    index._insert(_oriented(left, right, sim))
-    sets = list(groups)
-    for a, b, sim in _similar_gram_sets(sets, xi):
-        for left in groups[sets[a]]:
-            for right in groups[sets[b]]:
-                if left.rid != right.rid:
-                    index._insert(_oriented(left, right, sim))
+    def pairs() -> Iterator[tuple[tuple[int, int], tuple[int, int], float]]:
+        for g, labels in groups.items():
+            if len(labels) > 1:
+                sim = gram_jaccard(g, g)
+                for left, right in itertools.combinations(labels, 2):
+                    if left[0] != right[0]:
+                        yield left, right, sim
+        sets = list(groups)
+        for a, b, sim in _similar_gram_sets(sets, xi):
+            for left in groups[sets[a]]:
+                for right in groups[sets[b]]:
+                    if left[0] != right[0]:
+                        yield left, right, sim
 
-    for run in index._runs.values():
-        run.sort(key=_run_order)
-    return index
+    return ValuePairIndex.from_pairs(store, pairs(), xi, q)

@@ -2,14 +2,14 @@
 union-find forest mapping record ids to entity labels.
 
 A record is a sequence of fields; each field holds a set of string values
-(stored as a duplicate-free list so that value positions stay stable) plus
-the source attributes that fed it.  Merging two records fuses matched
-fields and concatenates the rest, in place: the record that survives as
-the union-find root keeps every field and value where it was, matched
-fields gain the absorbed record's new values after their own, and the
-absorbed record's unmatched fields follow.  Only the absorbed record's
-values get new labels, and since the root is chosen by union by size, a
-value is relabeled O(log n) times over a run.
+(stored as a duplicate-free list in the order they arrived) plus the
+source attributes that fed it.  Merging two records fuses matched fields
+and concatenates the rest, in place: the record that survives as the
+union-find root keeps every field where it was, matched fields gain the
+absorbed record's new values after their own, and the absorbed record's
+unmatched fields follow.  Only the absorbed record's fields get new ids,
+and since the root is chosen by union by size, a field is renumbered
+O(log n) times over a run.
 """
 
 from __future__ import annotations
@@ -18,14 +18,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Iterable, NamedTuple
 
 from .similarity import FieldMatchingSet
-
-
-class ValueLabel(NamedTuple):
-    """Position of one value in the record store.  All components 1-based."""
-
-    rid: int
-    fid: int
-    vid: int
 
 
 class AttrOrigin(NamedTuple):
@@ -124,25 +116,24 @@ def merge_super_records(
     b: SuperRecord,
     matching: Iterable[tuple[int, int, float]],
     forest: EntityForest,
-) -> tuple[SuperRecord, dict[ValueLabel, ValueLabel]]:
+) -> tuple[SuperRecord, dict[int, int]]:
     """Fuse ``a`` and ``b`` under a one-to-one field matching.
 
     Performs ``k = union(a.rid, b.rid)``: the record whose rid survives as
     the root (the one with more members, by union by size) keeps its
     fields in place, and the other one is absorbed into it.  Returns the
-    merged record together with the label remapping of the absorbed
-    record's values (old label -> new label), which the pair index needs
-    for maintenance; the survivor's labels do not change, so they are not
-    in the map.
+    merged record together with the field map of the absorbed record
+    (its field id -> the merged record's field id), which the pair index
+    needs for maintenance; the survivor's field ids do not change, so
+    they are not in the map.
 
     Field order of the result: the survivor's fields in their own order,
     each matched one followed by its partner's values that it does not
     already hold, then the absorbed record's unmatched fields in their
-    order.  A matched field unions the two origin sets.  The survivor's
-    values keep their positions, and an absorbed value equal to one the
-    survivor's field already holds maps onto that value's label; distinct
-    absorbed values get distinct labels, so the map is injective.  Neither
-    input record is modified.
+    order.  A matched field unions the two origin sets.  A matched
+    absorbed field maps onto its partner and an unmatched one onto its new
+    position, so the map is one-to-one.  Neither input record is
+    modified.
     """
     if forest.find(a.rid) == forest.find(b.rid):
         raise ValueError("cannot merge a record with itself")
@@ -159,23 +150,17 @@ def merge_super_records(
         keep, gone = b, a
         partner_of = {lf: rf for lf, rf, _ in pairs}
     fields = list(keep.fields)
-    label_map: dict[ValueLabel, ValueLabel] = {}
+    field_map: dict[int, int] = {}
     for gone_fid, fld in enumerate(gone.fields, 1):
         fid = partner_of.get(gone_fid)
         if fid is None:
             fields.append(fld)
             fid = len(fields)
-            for vid in range(1, len(fld.values) + 1):
-                label_map[ValueLabel(gone.rid, gone_fid, vid)] = ValueLabel(k, fid, vid)
-            continue
-        kept = fields[fid - 1]
-        values = list(kept.values)
-        pos = {v: vid for vid, v in enumerate(values, 1)}
-        for vid, v in enumerate(fld.values, 1):
-            if v not in pos:
-                values.append(v)
-                pos[v] = len(values)
-            label_map[ValueLabel(gone.rid, gone_fid, vid)] = ValueLabel(k, fid, pos[v])
-        fields[fid - 1] = Field(values=values, origins=kept.origins | fld.origins)
+        else:
+            kept = fields[fid - 1]
+            held = set(kept.values)
+            values = kept.values + [v for v in fld.values if v not in held]
+            fields[fid - 1] = Field(values=values, origins=kept.origins | fld.origins)
+        field_map[gone_fid] = fid
 
-    return SuperRecord(rid=k, fields=fields), label_map
+    return SuperRecord(rid=k, fields=fields), field_map

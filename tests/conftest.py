@@ -6,13 +6,12 @@ from pathlib import Path
 import pytest
 
 from entres.cli import parse_input
-from entres.pair_index import IndexedPair, RecordStore, ValuePairIndex, _oriented, _run_order
+from entres.pair_index import FieldLabel, RecordStore, ValuePairIndex
 from entres.records import (
     AttrOrigin,
     EntityForest,
     Field,
     SuperRecord,
-    ValueLabel,
     basic_record,
 )
 from entres.similarity import FieldMatchingSet, simf
@@ -138,32 +137,33 @@ def reference_forced_pairs(
 
 def reference_cal_bound(
     index: ValuePairIndex, i: int, j: int
-) -> tuple[float, tuple[tuple[int, int, float], ...], bool]:
+) -> tuple[float, frozenset[tuple[int, int, float]], bool]:
     """The simple path for ``ValuePairIndex.cal_bound``, as
-    ``(up, refined, has_multiple)``: copy the run, refine it to the best
-    value pair per field pair, then count the refined pairs covering each
-    field and take the maximum per left field."""
-    refined = []
-    seen_fields = set()
-    for pair in index.lookup_range(i, j):
-        fkey = (pair.left.fid, pair.right.fid)
-        if fkey not in seen_fields:
-            seen_fields.add(fkey)
-            refined.append((fkey[0], fkey[1], pair.sim))
+    ``(up, refined set, has_multiple)``, from the records alone: score
+    every field pair with ``simf`` and keep those at or above xi, count
+    the refined pairs covering each field, and add the best pair per left
+    field in the order a similarity-sorted scan meets them."""
+    a, b = index.store[i], index.store[j]
+    refined = [
+        (lf, rf, s)
+        for lf, fa in enumerate(a.fields, 1)
+        for rf, fb in enumerate(b.fields, 1)
+        if (s := simf(fa, fb, index.q)) >= index.xi
+    ]
+    if not refined:
+        return 0.0, frozenset(), False
     left_cover: dict[int, int] = defaultdict(int)
     right_cover: dict[int, int] = defaultdict(int)
     up_by_left: dict[int, float] = {}
-    for lf, rf, s in refined:
+    for lf, rf, s in sorted(refined, key=lambda t: (-t[2], t[0], t[1])):
         left_cover[lf] += 1
         right_cover[rf] += 1
-        up_by_left[lf] = max(up_by_left.get(lf, 0.0), s)
-    if not refined:
-        return 0.0, (), False
+        up_by_left.setdefault(lf, s)
     has_multiple = any(c > 1 for c in left_cover.values()) or any(
         c > 1 for c in right_cover.values()
     )
-    m = min(index.store[i].width, index.store[j].width)
-    return min(1.0, sum(up_by_left.values()) / m), tuple(refined), has_multiple
+    m = min(a.width, b.width)
+    return min(1.0, sum(up_by_left.values()) / m), frozenset(refined), has_multiple
 
 
 def reference_merge_super_records(
@@ -171,34 +171,30 @@ def reference_merge_super_records(
     b: SuperRecord,
     matching,
     forest: EntityForest,
-) -> tuple[SuperRecord, dict[ValueLabel, ValueLabel]]:
+) -> tuple[SuperRecord, dict[FieldLabel, int]]:
     """The simple path for ``records.merge_super_records``: renumber every
     field of the merged record (matched fields in ``a``'s order, then
-    ``a``'s unmatched fields, then ``b``'s) and map every label of both
-    records."""
+    ``a``'s unmatched fields, then ``b``'s) and map every field of both
+    records, as ``FieldLabel -> merged field id``."""
     if forest.find(a.rid) == forest.find(b.rid):
         raise ValueError("cannot merge a record with itself")
     pairs = FieldMatchingSet(matching)
     left_used = {lf for lf, _, _ in pairs}
     right_used = {rf for _, rf, _ in pairs}
     k = forest.union(a.rid, b.rid)
-    label_map: dict[ValueLabel, ValueLabel] = {}
+    field_map: dict[FieldLabel, int] = {}
     new_fields: list[Field] = []
 
     def emit(af, bf, a_fid, b_fid):
         fid = len(new_fields) + 1
         values: list[str] = []
-        pos: dict[str, int] = {}
         origins: frozenset[AttrOrigin] = frozenset()
         for fld, rid, old_fid in ((af, a.rid, a_fid), (bf, b.rid, b_fid)):
             if fld is None:
                 continue
             origins |= fld.origins
-            for vid, v in enumerate(fld.values, 1):
-                if v not in pos:
-                    values.append(v)
-                    pos[v] = len(values)
-                label_map[ValueLabel(rid, old_fid, vid)] = ValueLabel(k, fid, pos[v])
+            values += [v for v in fld.values if v not in values]
+            field_map[FieldLabel(rid, old_fid)] = fid
         new_fields.append(Field(values=values, origins=origins))
 
     for lf, rf, _ in pairs:
@@ -209,30 +205,31 @@ def reference_merge_super_records(
     for fid, fld in enumerate(b.fields, 1):
         if fid not in right_used:
             emit(None, fld, 0, fid)
-    return SuperRecord(rid=k, fields=new_fields), label_map
+    return SuperRecord(rid=k, fields=new_fields), field_map
 
 
-def reference_apply_merge(index: ValuePairIndex, i: int, j: int, k: int, label_map) -> None:
+def reference_apply_merge(index: ValuePairIndex, i: int, j: int, k: int, field_map) -> None:
     """The simple path for ``ValuePairIndex.apply_merge``, usable as the
-    method itself: pop every run of both records, relabel and re-orient
-    every pair (labels missing from ``label_map`` stay), and rebuild each
-    run sorted, keeping the first pair per label pair."""
+    method itself with the map of :func:`reference_merge_super_records`:
+    pop every run of both records, relabel both ends of every pair
+    (labels missing from ``field_map`` stay), re-orient it, and rebuild
+    each run from the best similarity per field pair."""
     affected = sorted(index._keys_by_rid.get(i, set()) | index._keys_by_rid.get(j, set()))
-    buckets: dict[tuple[int, int], list[IndexedPair]] = defaultdict(list)
+    best: dict[tuple[FieldLabel, FieldLabel], float] = {}
     for key in affected:
         run = index._runs.pop(key)
         index._keys_by_rid[key[0]].discard(key)
         index._keys_by_rid[key[1]].discard(key)
         if set(key) == {i, j}:
             continue
-        for left, right, sim in run:
-            new = _oriented(label_map.get(left, left), label_map.get(right, right), sim)
-            buckets[(new.left.rid, new.right.rid)].append(new)
-    for key, plist in sorted(buckets.items()):
-        plist.sort(key=_run_order)
-        best: dict[tuple[ValueLabel, ValueLabel], IndexedPair] = {}
-        for pair in plist:
-            best.setdefault((pair.left, pair.right), pair)
-        index._runs[key] = list(best.values())
+        for lf, rf, sim in run:
+            ends = [FieldLabel(rid, fid) for rid, fid in ((key[0], lf), (key[1], rf))]
+            left, right = sorted(
+                FieldLabel(k, field_map[end]) if end in field_map else end for end in ends
+            )
+            best[left, right] = max(sim, best.get((left, right), 0.0))
+    for (left, right), sim in sorted(best.items()):
+        key = (left.rid, right.rid)
+        index._runs.setdefault(key, []).append((left.fid, right.fid, sim))
         index._keys_by_rid[key[0]].add(key)
         index._keys_by_rid[key[1]].add(key)

@@ -14,7 +14,7 @@ from entres.cli import evaluate
 from entres.engine import EngineConfig, run
 from entres.matching import km_max_weight, verify_pair
 from entres.pair_index import ValuePairIndex, build_index
-from entres.records import AttrOrigin, EntityForest, ValueLabel, basic_record, merge_super_records
+from entres.records import AttrOrigin, EntityForest, basic_record, merge_super_records
 from entres.schema_vote import error_bound
 from entres.similarity import FieldMatchingSet, record_sim, simf, simv
 from entres.synth import clustered_corpus, split_attribute_corpus
@@ -55,11 +55,11 @@ def test_criterion_1_worked_values(capsys):
         )
         store = {1: mk(1), 2: mk(2)}
         pairs = [
-            (ValueLabel(1, 2, 1), ValueLabel(2, 4, 1), 0.37),
-            (ValueLabel(1, 3, 1), ValueLabel(2, 1, 1), 0.33),
-            (ValueLabel(1, 3, 1), ValueLabel(2, 2, 1), 1.0),
-            (ValueLabel(1, 4, 1), ValueLabel(2, 3, 1), 1.0),
-            (ValueLabel(1, 5, 1), ValueLabel(2, 5, 1), 1.0),
+            ((1, 2), (2, 4), 0.37),
+            ((1, 3), (2, 1), 0.33),
+            ((1, 3), (2, 2), 1.0),
+            ((1, 4), (2, 3), 1.0),
+            ((1, 5), (2, 5), 1.0),
         ]
         index = ValuePairIndex.from_pairs(store, pairs, XI)
         bound = index.cal_bound(1, 2)
@@ -72,7 +72,7 @@ def test_criterion_1_worked_values(capsys):
         assert not b46.has_multiple
 
         assert error_bound(10, 0.8) == pytest.approx(0.5698, abs=TOL)
-        return "simv 0.9 / 0.333, bounds 0.56 / 0.45, cal_bound 0.58, error_bound 0.5698"
+        return "simv 0.9 / 0.333, bound 0.56, cal_bound 0.58, error_bound 0.5698"
 
     _gate(1, "worked-value reproduction within ±0.005", body, capsys)
 
@@ -188,10 +188,10 @@ def test_criterion_3_oracle_equivalence(capsys):
                         matching.append((lf, rf, s))
                         lu.add(lf)
                         ru.add(rf)
-                merged, label_map = merge_super_records(store[i], store[j], matching, forest)
+                merged, field_map = merge_super_records(store[i], store[j], matching, forest)
                 del store[i], store[j]
                 store[merged.rid] = merged
-                index.apply_merge(i, j, merged.rid, label_map)
+                index.apply_merge(i, j, merged.rid, field_map)
                 got = {(p.left, p.right, round(p.sim, 9)) for p in index.iter_pairs()}
                 want = {
                     (p.left, p.right, round(p.sim, 9))

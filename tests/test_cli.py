@@ -233,6 +233,31 @@ class TestEvaluate:
                 assert report.recall == pytest.approx(tp / (tp + fn))
 
 
+class TestLoadLabels:
+    def test_boolean_and_number_ids_read_as_input_ids(self, tmp_path):
+        p = tmp_path / "gold.jsonl"
+        write_jsonl(p, [{"id": True, "entity": False}, {"id": 1.5, "entity": "e"}])
+        assert load_labels(str(p)) == {"true": "false", "1.5": "e"}
+
+    def test_gold_file_reusing_boolean_input_id(self, tmp_path, capsys):
+        records, gold = tmp_path / "r.jsonl", tmp_path / "gold.jsonl"
+        write_jsonl(records, [doc(True, name="bush"), doc("b", name="jon")])
+        write_jsonl(gold, [{"id": True, "entity": True}, {"id": "b", "entity": "b"}])
+        assert main(["--input", str(records), "--out", str(tmp_path / "l.jsonl"),
+                     "--ground-truth", str(gold)]) == 0
+        assert json.loads(capsys.readouterr().out)["gold_pairs"] == 0
+
+    @pytest.mark.parametrize("value, kind", [(None, "null"), (["x"], "a list"), ({"a": 1}, "an object")])
+    @pytest.mark.parametrize("key", ["id", "entity"])
+    def test_null_list_or_object_rejected_with_line(self, tmp_path, key, value, kind):
+        bad = {"id": "b", "entity": "b"}
+        bad[key] = value
+        p = tmp_path / "gold.jsonl"
+        write_jsonl(p, [{"id": "a", "entity": "a"}, bad])
+        with pytest.raises(InputError, match=f"line 2: key '{key}' holds {kind}"):
+            load_labels(str(p))
+
+
 class TestMain:
     def test_resolves_customer_file(self, tmp_path, capsys):
         out = tmp_path / "labels.jsonl"

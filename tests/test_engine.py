@@ -215,3 +215,28 @@ class TestOrderIndependence:
         shuffled, old_of = with_shuffled_ids(store, random.Random(shuffle_seed))
         result = run(shuffled)
         assert {frozenset(old_of[r] for r in m) for m in result.entities.values()} == expected
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a record as similar to two unrelated records joins the one with the lower id; "
+        "order-independent merge decisions are ROADMAP item 5",
+    )
+    def test_thin_record_tied_between_two_records(self):
+        # {country: usa} scores 1.0 against both wide records, which share
+        # only usa with each other (1/3): the first direct pair merges, the
+        # second is deferred and then falls to 1/3
+        thin = [(AttrOrigin("s0", "country"), "usa")]
+        wide = {
+            "a": [(AttrOrigin("s1", "country"), "usa"), (AttrOrigin("s1", "name"), "alvarez"),
+                  (AttrOrigin("s1", "city"), "paris")],
+            "b": [(AttrOrigin("s2", "country"), "usa"), (AttrOrigin("s2", "name"), "okonkwo"),
+                  (AttrOrigin("s2", "city"), "lagos")],
+        }
+        partitions = []
+        for order in (("a", "b"), ("b", "a")):
+            rows = {1: ("thin", thin), 2: (order[0], wide[order[0]]), 3: (order[1], wide[order[1]])}
+            result = run({rid: basic_record(rid, items) for rid, (_, items) in rows.items()})
+            partitions.append(
+                {frozenset(rows[r][0] for r in m) for m in result.entities.values()}
+            )
+        assert partitions[0] == partitions[1]

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import random
 import string
@@ -8,17 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from entres.engine import EngineConfig, ResolutionEngine
 from entres.matching import verify_pair
-from entres.pair_index import ValuePairIndex, build_index
+from entres.pair_index import FieldLabel, ValuePairIndex, _similar_gram_sets, build_index
 from entres.records import (
     AttrOrigin,
     EntityForest,
     Field,
     SuperRecord,
-    ValueLabel,
     basic_record,
     merge_super_records,
 )
-from entres.similarity import gram_jaccard, qgrams
+from entres.similarity import gram_jaccard, qgrams, simf
 from entres.synth import clustered_corpus, split_attribute_corpus
 from tests.conftest import random_store, reference_cal_bound
 
@@ -26,22 +26,31 @@ XI = 0.5
 
 
 def brute_force_pairs(store, xi, q=2):
-    """Nested-loop similarity join: the oracle for build_index."""
-    labels = []
-    for rid, rec in store.items():
-        for fid, fld in enumerate(rec.fields, 1):
-            for vid, v in enumerate(fld.values, 1):
-                labels.append((ValueLabel(rid, fid, vid), qgrams(v, q)))
+    """Nested loop over every cross-record field pair, scored as simf
+    scores it (the best gram_jaccard over value pairs; each value's
+    q-grams computed once): the oracle for build_index."""
+    fields = [
+        (FieldLabel(rid, fid), [qgrams(v, q) for v in fld.values])
+        for rid, rec in store.items()
+        for fid, fld in enumerate(rec.fields, 1)
+    ]
     out = set()
-    for a, (la, ga) in enumerate(labels):
-        for lb, gb in labels[a + 1 :]:
+    for a, (la, ga) in enumerate(fields):
+        for lb, gb in fields[a + 1 :]:
             if la.rid == lb.rid:
                 continue
-            s = gram_jaccard(ga, gb)  # simv on the two values
+            s = max(gram_jaccard(g1, g2) for g1 in ga for g2 in gb)
             if s >= xi:
-                left, right = (la, lb) if la.rid < lb.rid else (lb, la)
+                left, right = sorted((la, lb))
                 out.add((left, right, s))
     return out
+
+
+def in_index_order(pairs):
+    """Whether ``pairs`` run by record pair, then similarity descending,
+    then field ids, with the smaller rid on the left."""
+    keys = [((p.left.rid, p.right.rid), -p.sim, p.left.fid, p.right.fid) for p in pairs]
+    return keys == sorted(keys) and all(p.left.rid < p.right.rid for p in pairs)
 
 
 # numerator and denominator of each xi tried, for values scoring exactly xi;
@@ -85,17 +94,24 @@ class TestConstruction:
 
     def test_sorted_invariant(self, customer_store):
         index = build_index(customer_store, XI)
-        assert index.check_sorted()
+        assert in_index_order(list(index.iter_pairs()))
 
     def test_known_rows(self, customer_store):
         index = build_index(customer_store, XI)
         pairs = {(p.left, p.right): p.sim for p in index.iter_pairs()}
         # r4 "chicago" / r5 "chicag"
-        assert pairs[(ValueLabel(4, 1, 1), ValueLabel(5, 2, 1))] == pytest.approx(5 / 6)
+        assert pairs[(FieldLabel(4, 1), FieldLabel(5, 2))] == pytest.approx(5 / 6)
         # r1 "electronics" / r6 "electronic"
-        assert pairs[(ValueLabel(1, 5, 1), ValueLabel(6, 5, 1))] == pytest.approx(0.9)
+        assert pairs[(FieldLabel(1, 5), FieldLabel(6, 5))] == pytest.approx(0.9)
         # identical phone numbers survive with similarity 1
-        assert pairs[(ValueLabel(1, 3, 1), ValueLabel(6, 3, 1))] == 1.0
+        assert pairs[(FieldLabel(1, 3), FieldLabel(6, 3))] == 1.0
+
+    def test_field_pair_keeps_its_best_value_pair(self):
+        # "bush" meets "bush" (1.0) and "bushel" (3/5): one entry, the best
+        a = basic_record(1, [(AttrOrigin("s1", "name"), "bush")])
+        b = SuperRecord(2, [Field(["bushel", "bush"], {AttrOrigin("s2", "name")})])
+        index = build_index({1: a, 2: b}, XI)
+        assert list(index.iter_pairs()) == [(FieldLabel(1, 1), FieldLabel(2, 1), 1.0)]
 
     def test_xi_cutoff(self, customer_store):
         index = build_index(customer_store, XI)
@@ -107,9 +123,9 @@ class TestConstruction:
         for trial in range(10):
             store = random_store(rng, rng.randint(2, 12))
             index = build_index(store, XI)
-            got = {(p.left, p.right, p.sim) for p in index.iter_pairs()}
-            assert got == brute_force_pairs(store, XI)
-            assert index.check_sorted()
+            pairs = list(index.iter_pairs())
+            assert set(pairs) == brute_force_pairs(store, XI)
+            assert len(pairs) == len(index)
 
     @settings(max_examples=250, deadline=None)
     @given(join_cases())
@@ -117,11 +133,28 @@ class TestConstruction:
         store, xi, q = case
         index = build_index(store, xi, q)
         pairs = list(index.iter_pairs())
-        assert {(p.left, p.right, p.sim) for p in pairs} == brute_force_pairs(store, xi, q)
+        assert set(pairs) == brute_force_pairs(store, xi, q)
         assert len(pairs) == len(index)
-        assert index.check_sorted()
-        keys = [(p.left.rid, p.right.rid) for p in pairs]
-        assert keys == sorted(keys)
+        assert in_index_order(pairs)
+        for left, right, sim in pairs:
+            assert sim == simf(store[left.rid].fields[left.fid - 1],
+                               store[right.rid].fields[right.fid - 1], q)
+
+    @settings(max_examples=250, deadline=None)
+    @given(join_cases())
+    def test_gram_set_join_matches_nested_loop(self, case):
+        store, xi, q = case
+        sets = list(dict.fromkeys(
+            qgrams(v, q) for rec in store.values() for fld in rec.fields for v in fld.values
+        ))
+        got = [(min(a, b), max(a, b), sim) for a, b, sim in _similar_gram_sets(sets, xi)]
+        want = {
+            (a, b, sim)
+            for a, b in itertools.combinations(range(len(sets)), 2)
+            if sets[a] and sets[b] and (sim := gram_jaccard(sets[a], sets[b])) >= xi
+        }
+        assert len(got) == len(set(got))
+        assert set(got) == want
 
     @pytest.mark.parametrize(
         "store", [clustered_corpus(30, 8)[0], split_attribute_corpus(40)[0]],
@@ -191,10 +224,10 @@ def _merge_and_update(store, index, i, j, forest):
             matching.append((lf, rf, s))
             lf_used.add(lf)
             rf_used.add(rf)
-    merged, label_map = merge_super_records(store[i], store[j], matching, forest)
+    merged, field_map = merge_super_records(store[i], store[j], matching, forest)
     del store[i], store[j]
     store[merged.rid] = merged
-    index.apply_merge(i, j, merged.rid, label_map)
+    index.apply_merge(i, j, merged.rid, field_map)
     return merged
 
 
@@ -203,11 +236,11 @@ class TestCalBound:
         # two six-field records; refined field-pair sims are
         # (2,4)=0.37 (3,1)=0.33 (3,2)=1 (4,3)=1 (5,5)=1
         pairs = [
-            (ValueLabel(1, 2, 1), ValueLabel(2, 4, 1), 0.37),
-            (ValueLabel(1, 3, 1), ValueLabel(2, 1, 1), 0.33),
-            (ValueLabel(1, 3, 1), ValueLabel(2, 2, 1), 1.0),
-            (ValueLabel(1, 4, 1), ValueLabel(2, 3, 1), 1.0),
-            (ValueLabel(1, 5, 1), ValueLabel(2, 5, 1), 1.0),
+            ((1, 2), (2, 4), 0.37),
+            ((1, 3), (2, 1), 0.33),
+            ((1, 3), (2, 2), 1.0),
+            ((1, 4), (2, 3), 1.0),
+            ((1, 5), (2, 5), 1.0),
         ]
         index = ValuePairIndex.from_pairs(_six_field_store(), pairs, XI)
         bound = index.cal_bound(1, 2)
@@ -217,9 +250,10 @@ class TestCalBound:
                                       (4, 3, 1.0), (5, 5, 1.0)}
 
     def test_refinement_keeps_best_value_pair(self):
+        # one field pair given twice, as two of its value pairs would be
         pairs = [
-            (ValueLabel(1, 3, 1), ValueLabel(2, 2, 1), 1.0),
-            (ValueLabel(1, 3, 2), ValueLabel(2, 2, 1), 0.6),
+            ((1, 3), (2, 2), 1.0),
+            ((1, 3), (2, 2), 0.6),
         ]
         index = ValuePairIndex.from_pairs(_six_field_store(), pairs, XI)
         assert index.cal_bound(1, 2).refined == ((3, 2, 1.0),)
@@ -232,8 +266,8 @@ class TestCalBound:
 
     def test_multiple_on_right_side_detected(self):
         pairs = [
-            (ValueLabel(1, 1, 1), ValueLabel(2, 1, 1), 1.0),
-            (ValueLabel(1, 2, 1), ValueLabel(2, 1, 1), 0.6),
+            ((1, 1), (2, 1), 1.0),
+            ((1, 2), (2, 1), 0.6),
         ]
         index = ValuePairIndex.from_pairs(_six_field_store(), pairs, XI)
         bound = index.cal_bound(1, 2)
@@ -272,7 +306,11 @@ class TestCalBound:
         rids = sorted(store)
         for a, i in enumerate(rids):
             for j in rids[a + 1 :]:
-                assert index.cal_bound(i, j) == reference_cal_bound(index, i, j)
+                bound = index.cal_bound(i, j)
+                assert len(set(bound.refined)) == len(bound.refined)
+                assert (bound.up, set(bound.refined), bound.has_multiple) == reference_cal_bound(
+                    index, i, j
+                )
 
 
 class TestGenerateCandidates:
@@ -315,7 +353,6 @@ class TestApplyMerge:
         _merge_and_update(customer_store, index, 1, 6, forest)
         for pair in index.iter_pairs():
             assert {pair.left.rid, pair.right.rid} != {1, 6}
-        assert index.check_sorted()
 
     def test_matches_rebuild_from_scratch(self):
         rng = random.Random(33)
@@ -333,14 +370,13 @@ class TestApplyMerge:
                 got = {(p.left, p.right, round(p.sim, 9)) for p in index.iter_pairs()}
                 want = {(p.left, p.right, round(p.sim, 9)) for p in rebuilt.iter_pairs()}
                 assert got == want
-                assert index.check_sorted()
 
     @staticmethod
     def _merge_chain(seed, n_records, n_merges):
         """Merge random record pairs of a random store, checking after each
         merge that the maintained index equals a rebuild, pair for pair and
-        in run order.  Returns how many merges the higher rid survived and
-        how many moved pairs were dropped as duplicates of the survivor's."""
+        in index order.  Returns how many merges the higher rid survived and
+        how many moved pairs were folded into a pair the survivor held."""
         rng = random.Random(seed)
         store = random_store(rng, n_records, max_values=3)
         index = build_index(store, XI)
@@ -354,7 +390,6 @@ class TestApplyMerge:
             higher += _merge_and_update(store, index, i, j, forest).rid == j
             dropped += kept - len(index)
             assert list(index.iter_pairs()) == list(build_index(store, XI).iter_pairs())
-            assert index.check_sorted()
         return higher, dropped
 
     @settings(max_examples=150, deadline=None)
@@ -363,6 +398,7 @@ class TestApplyMerge:
         self._merge_chain(seed, n_records, n_merges)
 
     def test_merge_chains_cover_higher_rid_survivor_and_duplicates(self):
+        # a fold happens where a matched field meets a record both parts matched
         counts = [self._merge_chain(seed, 12, 8) for seed in range(20)]
         assert sum(higher for higher, _ in counts) > 0
         assert sum(dropped for _, dropped in counts) > 0

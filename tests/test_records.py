@@ -8,7 +8,6 @@ from entres.records import (
     EntityForest,
     Field,
     SuperRecord,
-    ValueLabel,
     basic_record,
     merge_super_records,
     normalize_value,
@@ -120,26 +119,24 @@ class TestMerge:
         with pytest.raises(ValueError):
             merge_super_records(a, b, [], forest)
 
-    def test_label_map_covers_all_values(self):
+    def test_field_map_covers_absorbed_fields(self):
         a, _ = self._pair()
         # b's first field already holds the value of a's matched field
         b = SuperRecord(6, [Field(["electronic", "electronics"], {_origin("con", "CustomerIII")}),
                             Field(["bush@gmail"], {_origin("mail", "CustomerIII")})])
         forest = EntityForest([1, 6, 99])
         forest.union(6, 99)  # 6 now has more members, so the higher rid survives
-        merged, label_map = merge_super_records(a, b, [(1, 1, 0.9)], forest)
+        merged, field_map = merge_super_records(a, b, [(1, 1, 0.9)], forest)
         assert merged.rid == 6
-        assert set(label_map) == {ValueLabel(1, 1, 1), ValueLabel(1, 2, 1)}
+        # exactly the absorbed record's fields: the matched one onto its
+        # partner, the unmatched one after the survivor's fields
+        assert field_map == {1: 1, 2: 3}
         # the survivor's fields are unchanged prefixes of the merged ones
         for kept, fld in zip(b.fields, merged.fields):
             assert fld.values[: len(kept.values)] == kept.values
         assert merged.fields[0].values == ["electronic", "electronics"]
         assert merged.fields[1] is b.fields[1]
         assert merged.fields[2].values == ["831-432"]
-        # a value the survivor already holds maps onto its existing label
-        assert label_map[ValueLabel(1, 1, 1)] == ValueLabel(6, 1, 2)
-        assert label_map[ValueLabel(1, 2, 1)] == ValueLabel(6, 3, 1)
-        assert len(set(label_map.values())) == len(label_map)
 
     def test_field_count_bound(self):
         rng = random.Random(9)
