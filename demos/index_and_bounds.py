@@ -28,7 +28,7 @@ def main() -> None:
 
     index = build_index(parsed.store, xi=0.5)
     print(f"== indexed field pairs (xi = 0.5): {len(index)} rows ==")
-    for pid, left, right, sim in index.rows():
+    for pid, (left, right, sim) in enumerate(index.iter_pairs(), 1):
         lv = parsed.store[left.rid].fields[left.fid - 1].values
         rv = parsed.store[right.rid].fields[right.fid - 1].values
         print(f"  #{pid:>2}  ({parsed.ids[left.rid]}.f{left.fid} {lv}) ~ "

@@ -42,6 +42,13 @@ class EvalReport:
     gold_pairs: int
 
 
+def _object(value: object, what: str, where: str) -> dict:
+    """``value`` if it is a JSON object; anything else is rejected."""
+    if not isinstance(value, dict):
+        raise InputError(f"{where}{what} must be a JSON object")
+    return value
+
+
 def _text(value: object, what: str, where: str) -> str:
     """A string as is, a number as ``str()`` of it and a boolean as its
     JSON text ``true`` or ``false``; anything else has no text to compare
@@ -60,8 +67,8 @@ def _text(value: object, what: str, where: str) -> str:
     return str(value)
 
 
-def record_from_doc(doc: dict, rid: int, lineno: int = 0) -> tuple[str, SuperRecord]:
-    """Parse one input document into a basic record.
+def record_from_doc(doc: object, rid: int, lineno: int = 0) -> tuple[str, SuperRecord]:
+    """Parse one input document, a JSON object, into a basic record.
 
     Values are normalized; JSON ``null`` and values blank after
     normalization are dropped, since an absent value is no evidence that
@@ -74,21 +81,23 @@ def record_from_doc(doc: dict, rid: int, lineno: int = 0) -> tuple[str, SuperRec
     attribute.
     """
     where = f"line {lineno}: " if lineno else ""
+    doc = _object(doc, "a record", where)
     try:
         ext_id = _text(doc["id"], "key 'id' holds", where)
         source = _text(doc["source"], "key 'source' holds", where)
         raw_fields = doc["fields"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise InputError(f"{where}missing key {exc}") from exc
     if not isinstance(raw_fields, list) or not raw_fields:
         raise InputError(f"{where}record needs at least one field")
     items = []
     seen_attrs: set[str] = set()
     for fld in raw_fields:
+        fld = _object(fld, "a field entry", where)
         try:
             attr = _text(fld["attr"], "key 'attr' holds", where)
             values = fld["values"]
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise InputError(f"{where}malformed field entry: {exc}") from exc
         attr_key = attr.casefold()
         if attr_key in seen_attrs:
@@ -182,7 +191,7 @@ def evaluate(
 def load_labels(path: str) -> dict[str, str]:
     """Read a label file: one ``{"id": ..., "entity": ...}`` line per
     record.  Both are taken as text the way an input id is, so a label
-    file names a record exactly as the input does."""
+    file names a record exactly as the input does; an id may appear once."""
     out: dict[str, str] = {}
     with open(path, encoding="utf-8") as fp:
         for lineno, line in enumerate(fp, 1):
@@ -190,11 +199,14 @@ def load_labels(path: str) -> dict[str, str]:
                 continue
             where = f"line {lineno}: "
             try:
-                doc = json.loads(line)
+                doc = _object(json.loads(line), "a label line", where)
                 ext_id, entity = doc["id"], doc["entity"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (json.JSONDecodeError, KeyError) as exc:
                 raise InputError(f"{where}bad label line ({exc})") from exc
-            out[_text(ext_id, "key 'id' holds", where)] = _text(entity, "key 'entity' holds", where)
+            ext_id = _text(ext_id, "key 'id' holds", where)
+            if ext_id in out:
+                raise InputError(f"{where}duplicate record id {ext_id!r}")
+            out[ext_id] = _text(entity, "key 'entity' holds", where)
     if not out:
         raise InputError("no labels in file")
     return out

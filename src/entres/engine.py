@@ -49,11 +49,20 @@ class EngineConfig:
 @dataclass
 class ResolutionResult:
     labels: dict[int, int]  # original record id -> entity id (union-find root)
-    iterations: int
-    merges: int
-    converged: bool
     promoted: tuple[PromotedMatching, ...]
-    merge_history: tuple[int, ...] = ()
+    merge_history: tuple[int, ...]  # merges per iteration
+
+    @property
+    def iterations(self) -> int:
+        return len(self.merge_history)
+
+    @property
+    def merges(self) -> int:
+        return sum(self.merge_history)
+
+    @property
+    def converged(self) -> bool:  # the last iteration merged nothing
+        return self.merge_history[-1:] == (0,)
 
     @property
     def entities(self) -> dict[int, set[int]]:
@@ -130,19 +139,13 @@ class ResolutionEngine:
         cfg = self.config
         limit = cfg.max_iterations or len(self._original_ids)
         history: list[int] = []
-        converged = False
         for _ in range(limit):
-            merges = self._run_iteration()
-            history.append(merges)
-            if merges == 0:
-                converged = True
+            history.append(self._run_iteration())
+            if history[-1] == 0:
                 break
         labels = {rid: self.forest.find(rid) for rid in self._original_ids}
         return ResolutionResult(
             labels=labels,
-            iterations=len(history),
-            merges=sum(history),
-            converged=converged,
             promoted=tuple(self.ledger.promoted()),
             merge_history=tuple(history),
         )

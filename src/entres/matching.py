@@ -13,9 +13,10 @@ field matching.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import AbstractSet, Iterable, Mapping
+from typing import AbstractSet, Collection, Iterable, Mapping
 
 from .pair_index import ValuePairIndex
 from .records import AttrOrigin
@@ -25,11 +26,6 @@ _EPS = 1e-9
 
 Partners = Mapping[AttrOrigin, AbstractSet[AttrOrigin]]
 _NO_PARTNERS: Partners = MappingProxyType({})
-
-
-class ForcedPairConflictError(ValueError):
-    """Two forced field pairs share a field: the promotion ledger is
-    inconsistent with the one-to-one matching requirement."""
 
 
 @dataclass(frozen=True)
@@ -54,33 +50,23 @@ class VerifyResult:
 
 def build_graph(
     refined: Iterable[tuple[int, int, float]],
-    forced: Iterable[tuple[int, int]] = (),
+    forced: Collection[tuple[int, int]] = (),
 ) -> tuple[FieldMatchGraph, list[tuple[int, int, float]]]:
     """Build the field-pair graph and peel off decided edges.
 
     Forced pairs are extracted first (their fields leave the graph along
     with every edge touching them).  Then every edge whose two endpoints
     both have degree one becomes a mapped edge and its endpoints are
-    deleted.  Returns the residual graph and the mapped edges.
+    deleted.  Returns the residual graph and the mapped edges.  Forced
+    pairs that share a field are not caught here: the
+    :class:`~entres.similarity.FieldMatchingSet` built from the result
+    rejects them.
     """
-    forced = list(forced)
-    f_left = [lf for lf, _ in forced]
-    f_right = [rf for _, rf in forced]
-    if len(set(f_left)) != len(f_left) or len(set(f_right)) != len(f_right):
-        raise ForcedPairConflictError("forced field pairs share a field")
-    blocked_left, blocked_right = set(f_left), set(f_right)
-
-    edges = [
-        (int(lf), int(rf), float(s))
-        for lf, rf, s in refined
-        if lf not in blocked_left and rf not in blocked_right
-    ]
-    ldeg: dict[int, int] = {}
-    rdeg: dict[int, int] = {}
-    for lf, rf, _ in edges:
-        ldeg[lf] = ldeg.get(lf, 0) + 1
-        rdeg[rf] = rdeg.get(rf, 0) + 1
-
+    blocked_left = {lf for lf, _ in forced}
+    blocked_right = {rf for _, rf in forced}
+    edges = [e for e in refined if e[0] not in blocked_left and e[1] not in blocked_right]
+    ldeg = Counter(lf for lf, _, _ in edges)
+    rdeg = Counter(rf for _, rf, _ in edges)
     mapped = [e for e in edges if ldeg[e[0]] == 1 and rdeg[e[1]] == 1]
     residual = [e for e in edges if not (ldeg[e[0]] == 1 and rdeg[e[1]] == 1)]
     left = tuple(sorted({lf for lf, _, _ in residual}))

@@ -5,17 +5,18 @@ maintenance under record merges.
 For every pair of fields of two different records whose most similar
 value pair reaches xi, the index holds that best similarity: exactly the
 refined field set the bound, the direct merges and the verification
-read.  It is kept as runs, one list of ``(left fid, right fid, sim)``
-per record pair ``(rid_1, rid_2)`` with ``rid_1 < rid_2``, in a dict, so
-range lookup is one dict lookup and whole-index scans visit the keys in
-sorted order.  A run holds one entry per field pair and is in no
+read.  It is kept as runs, one list of ``(fid of rid_1, fid of rid_2,
+sim)`` per record pair with ``rid_1 < rid_2``, in a symmetric run map:
+``runs[a][b]`` and ``runs[b][a]`` are the same list, so a record's row
+holds all its runs.  A run holds one entry per field pair and is in no
 particular order; the inspection views sort it.
 
 Field similarity of a merged field is the maximum over its two parts, so
 a merge only maps the absorbed record's field ids onto the merged record
 and keeps the best entry per field pair.  The surviving record keeps its
-fields, so its runs stay as they are; union by size absorbs the record
-with fewer members, so each entry is moved O(log n) times over a run.
+fields and runs; the absorbed record's row is popped and its runs move
+onto the survivor.  Union by size absorbs the record with fewer members,
+so each entry is moved O(log n) times over a run.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import itertools
 import json
 import math
 from collections import Counter, defaultdict
+from types import MappingProxyType
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
 from .records import SuperRecord
@@ -31,6 +33,7 @@ from .similarity import DEFAULT_Q, gram_jaccard, qgrams
 
 RecordStore = dict[int, SuperRecord]
 Run = list[tuple[int, int, float]]  # (left fid, right fid, best similarity)
+_NO_RUNS: Mapping[int, Run] = MappingProxyType({})
 
 
 class FieldLabel(NamedTuple):
@@ -79,8 +82,7 @@ class ValuePairIndex:
         self.store = store
         self.xi = xi
         self.q = q
-        self._runs: dict[tuple[int, int], Run] = {}
-        self._keys_by_rid: dict[int, set[tuple[int, int]]] = defaultdict(set)
+        self._runs: dict[int, dict[int, Run]] = {}  # rid -> other rid -> run
 
     # -- construction -----------------------------------------------------
 
@@ -102,22 +104,27 @@ class ValuePairIndex:
                 raise ValueError("indexed pairs must span two records")
             if ri > rj:
                 ri, fi, rj, fj = rj, fj, ri, fi
-            run = runs.get((ri, rj))
+            run = runs.get(ri, _NO_RUNS).get(rj)
             if run is None:
-                key = (ri, rj)  # one tuple for the dict and both key sets
-                runs[key] = [(fi, fj, sim)]
-                index._keys_by_rid[ri].add(key)
-                index._keys_by_rid[rj].add(key)
+                runs.setdefault(ri, {})[rj] = runs.setdefault(rj, {})[ri] = [(fi, fj, sim)]
             else:
                 run.append((fi, fj, sim))
-        for key, run in runs.items():
-            runs[key] = _fold(run)
+        for i, row in runs.items():
+            for j, run in row.items():
+                if i < j:
+                    row[j] = runs[j][i] = _fold(run)
         return index
 
     # -- read operations --------------------------------------------------
 
     def __len__(self) -> int:
-        return sum(len(run) for run in self._runs.values())
+        return sum(len(run) for row in self._runs.values() for run in row.values()) // 2
+
+    def _pairs(self) -> Iterator[tuple[int, int]]:
+        """Every record pair with a run, ``(rid_1, rid_2)`` ascending."""
+        for i in sorted(self._runs):
+            for j in sorted(j for j in self._runs[i] if j > i):
+                yield i, j
 
     def lookup_range(self, i: int, j: int) -> tuple[IndexedPair, ...]:
         """All field pairs between records ``i`` and ``j`` (``i < j``), best
@@ -136,7 +143,7 @@ class ValuePairIndex:
         """
         if i >= j:
             raise ValueError("lookup requires i < j")
-        run = self._runs.get((i, j))
+        run = self._runs.get(i, _NO_RUNS).get(j)
         if not run:
             return BoundResult(0.0, (), False)
         up_by_left: dict[int, float] = {}
@@ -167,7 +174,7 @@ class ValuePairIndex:
             raise ValueError("delta must lie in [0, 1]")
         candidates: list[tuple[int, int]] = []
         direct: list[tuple[tuple[int, int], float]] = []
-        for key in sorted(self._runs):
+        for key in self._pairs():
             bound = self.cal_bound(*key)
             if bound.up < delta:
                 continue
@@ -186,58 +193,46 @@ class ValuePairIndex:
         :func:`~entres.records.merge_super_records`); ``field_map`` takes
         each field id of the other, absorbed record to its id in ``k``.
         The run between the two records is deleted and every run of ``k``
-        keeps its entries.  Each run of the absorbed record moves onto
-        ``k``: its absorbed side is mapped, and where ``k`` already has a
-        run with the same other record, the two are folded to the best
-        entry per field pair (a matched field's similarity is the maximum
-        over its two parts).
+        keeps its entries.  The absorbed record's row is popped and each of
+        its runs moves onto ``k``: its absorbed side is mapped, and where
+        ``k`` already has a run with the same other record, the two are
+        folded to the best entry per field pair (a matched field's
+        similarity is the maximum over its two parts).
         """
         if k not in (i, j):
             raise ValueError("the merged record keeps the rid of one of the two")
         gone = j if k == i else i
-        dead = (min(i, j), max(i, j))
-        self._runs.pop(dead, None)
-        self._keys_by_rid[k].discard(dead)
-        for key in self._keys_by_rid.pop(gone, ()):
-            if key == dead:
-                continue
-            run = self._runs.pop(key)
-            side = 0 if key[0] == gone else 1  # the absorbed side of each entry
-            x = key[1 - side]
-            self._keys_by_rid[x].discard(key)
+        runs = self._runs
+        for x, run in runs.pop(gone, {}).items():
+            del runs[x][gone]
+            if x == k:
+                continue  # the run between the two records goes
+            side = 0 if gone < x else 1  # the absorbed side of each entry
             if k < x:
-                new_key = (k, x)
                 moved = [(field_map[e[side]], e[1 - side], e[2]) for e in run]
             else:
-                new_key = (x, k)
                 moved = [(e[1 - side], field_map[e[side]], e[2]) for e in run]
-            kept = self._runs.get(new_key)
+            kept = runs[x].get(k)
             # field_map is one-to-one, so moved entries collide only with kept ones
-            self._runs[new_key] = _fold(kept + moved) if kept else moved
-            self._keys_by_rid[k].add(new_key)
-            self._keys_by_rid[x].add(new_key)
+            runs[x][k] = runs.setdefault(k, {})[x] = _fold(kept + moved) if kept else moved
 
     # -- inspection -------------------------------------------------------
 
     def _labelled(self, i: int, j: int) -> Iterator[IndexedPair]:
-        for lf, rf, sim in sorted(self._runs.get((i, j), ()), key=lambda e: (-e[2], e[0], e[1])):
+        run = self._runs.get(i, _NO_RUNS).get(j, ())
+        for lf, rf, sim in sorted(run, key=lambda e: (-e[2], e[0], e[1])):
             yield IndexedPair(FieldLabel(i, lf), FieldLabel(j, rf), sim)
 
     def iter_pairs(self) -> Iterator[IndexedPair]:
         """All field pairs in index order: (rid_1, rid_2) ascending, then
         similarity descending, then field ids."""
-        for key in sorted(self._runs):
+        for key in self._pairs():
             yield from self._labelled(*key)
-
-    def rows(self) -> Iterator[tuple[int, FieldLabel, FieldLabel, float]]:
-        """(pid, left label, right label, similarity), pid 1-based."""
-        for pid, pair in enumerate(self.iter_pairs(), 1):
-            yield pid, pair.left, pair.right, pair.sim
 
     def dump_jsonl(self, fp: IO[str]) -> None:
         """One ``{"pid", "left": [rid, fid], "right": [rid, fid], "sim"}``
         line per field pair, in index order."""
-        for pid, left, right, sim in self.rows():
+        for pid, (left, right, sim) in enumerate(self.iter_pairs(), 1):
             fp.write(
                 json.dumps(
                     {"pid": pid, "left": list(left), "right": list(right), "sim": sim}

@@ -14,6 +14,7 @@ O(log n) times over a run.
 
 from __future__ import annotations
 
+import unicodedata
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, NamedTuple
 
@@ -67,8 +68,9 @@ def basic_record(rid: int, items: Iterable[tuple[AttrOrigin, str]]) -> SuperReco
 
 
 def normalize_value(raw: str) -> str:
-    """Trim surrounding whitespace and case-fold.  Idempotent."""
-    return raw.strip().casefold()
+    """Trim surrounding whitespace and case-fold, in Unicode NFC before and
+    after folding so canonically equivalent strings agree.  Idempotent."""
+    return unicodedata.normalize("NFC", unicodedata.normalize("NFC", raw).strip().casefold())
 
 
 class EntityForest:

@@ -1,8 +1,10 @@
 """Similarity kernels: value-level q-gram Jaccard, field-level max over
 value pairs, and record-level similarity over a one-to-one field matching.
 
-The value metric is an injection point; everything downstream only assumes
-a symmetric score in [0, 1].  q-gram Jaccard is the shipped default.
+The value metric is q-gram Jaccard and cannot be swapped: the join's
+filters (``pair_index._min_overlap``, prefix and size) are derived for
+Jaccard, so another metric would silently lose value pairs.  Above the
+value level, only a symmetric score in [0, 1] is assumed.
 """
 
 from __future__ import annotations
@@ -76,9 +78,6 @@ class FieldMatchingSet:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def __bool__(self) -> bool:
-        return bool(self.pairs)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FieldMatchingSet) and self.pairs == other.pairs
 
@@ -90,13 +89,7 @@ class FieldMatchingSet:
         return sum(s for _, _, s in self.pairs)
 
 
-def record_sim(
-    a: SuperRecord,
-    b: SuperRecord,
-    matching: FieldMatchingSet | Iterable[tuple[int, int, float]],
-) -> float:
+def record_sim(a: SuperRecord, b: SuperRecord, matching: FieldMatchingSet) -> float:
     """Accumulated matched-field similarity, normalized by the smaller
     record's field count."""
-    if not isinstance(matching, FieldMatchingSet):
-        matching = FieldMatchingSet(matching)
     return matching.total_weight / min(a.width, b.width)

@@ -214,22 +214,21 @@ def reference_apply_merge(index: ValuePairIndex, i: int, j: int, k: int, field_m
     pop every run of both records, relabel both ends of every pair
     (labels missing from ``field_map`` stay), re-orient it, and rebuild
     each run from the best similarity per field pair."""
-    affected = sorted(index._keys_by_rid.get(i, set()) | index._keys_by_rid.get(j, set()))
+    runs = index._runs
     best: dict[tuple[FieldLabel, FieldLabel], float] = {}
-    for key in affected:
-        run = index._runs.pop(key)
-        index._keys_by_rid[key[0]].discard(key)
-        index._keys_by_rid[key[1]].discard(key)
-        if set(key) == {i, j}:
-            continue
-        for lf, rf, sim in run:
-            ends = [FieldLabel(rid, fid) for rid, fid in ((key[0], lf), (key[1], rf))]
-            left, right = sorted(
-                FieldLabel(k, field_map[end]) if end in field_map else end for end in ends
-            )
-            best[left, right] = max(sim, best.get((left, right), 0.0))
+    for rid in (i, j):
+        for x, run in runs.pop(rid, {}).items():
+            if x in (i, j):
+                continue  # the run between the two records goes
+            del runs[x][rid]
+            lo, hi = sorted((rid, x))
+            for lf, rf, sim in run:
+                ends = [FieldLabel(lo, lf), FieldLabel(hi, rf)]
+                left, right = sorted(
+                    FieldLabel(k, field_map[end]) if end in field_map else end for end in ends
+                )
+                best[left, right] = max(sim, best.get((left, right), 0.0))
     for (left, right), sim in sorted(best.items()):
-        key = (left.rid, right.rid)
-        index._runs.setdefault(key, []).append((left.fid, right.fid, sim))
-        index._keys_by_rid[key[0]].add(key)
-        index._keys_by_rid[key[1]].add(key)
+        run = runs.setdefault(left.rid, {}).setdefault(right.rid, [])
+        runs.setdefault(right.rid, {})[left.rid] = run
+        run.append((left.fid, right.fid, sim))

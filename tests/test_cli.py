@@ -24,6 +24,10 @@ from tests.conftest import CUSTOMERS, CUSTOMERS_GOLD, lookalike_store
 BLANK_AND_NULL = Path(__file__).resolve().parent / "data" / "blank_and_null.jsonl"
 
 
+# valid JSON that is not an object
+NOT_OBJECTS = [[1, 2], "x", 5, None, True]
+
+
 def write_jsonl(path, docs):
     path.write_text("".join(json.dumps(d) + "\n" for d in docs), encoding="utf-8")
 
@@ -163,6 +167,15 @@ class TestParseInput:
         with pytest.raises(InputError, match=f"line 2: key '{key}' holds {kind}"):
             parse_input(str(p))
 
+    @pytest.mark.parametrize("value", NOT_OBJECTS)
+    @pytest.mark.parametrize("where", ["record", "field entry"])
+    def test_non_object_record_or_field_entry_rejected(self, tmp_path, where, value):
+        bad = value if where == "record" else {"id": "b", "source": "s1", "fields": [value]}
+        p = tmp_path / "bad.jsonl"
+        write_jsonl(p, [doc("a", name="x"), bad])
+        with pytest.raises(InputError, match=f"line 2: a {where} must be a JSON object$"):
+            parse_input(str(p))
+
     def test_attributes_differing_only_by_case_rejected(self, tmp_path):
         p = tmp_path / "bad.jsonl"
         write_jsonl(p, [{"id": "a", "source": "s",
@@ -255,6 +268,22 @@ class TestLoadLabels:
         p = tmp_path / "gold.jsonl"
         write_jsonl(p, [{"id": "a", "entity": "a"}, bad])
         with pytest.raises(InputError, match=f"line 2: key '{key}' holds {kind}"):
+            load_labels(str(p))
+
+    @pytest.mark.parametrize("value", NOT_OBJECTS)
+    def test_non_object_line_rejected(self, tmp_path, value):
+        p = tmp_path / "gold.jsonl"
+        write_jsonl(p, [{"id": "a", "entity": "a"}, value])
+        with pytest.raises(InputError, match="line 2: a label line must be a JSON object$"):
+            load_labels(str(p))
+
+    @pytest.mark.parametrize("first, again", [("a", "a"), (True, "true"), (1, "1")])
+    @pytest.mark.parametrize("entity", ["x", "y"])
+    def test_repeated_id_rejected_with_line(self, tmp_path, first, again, entity):
+        p = tmp_path / "gold.jsonl"
+        write_jsonl(p, [{"id": first, "entity": "x"}, {"id": "b", "entity": "b"},
+                        {"id": again, "entity": entity}])
+        with pytest.raises(InputError, match=f"line 3: duplicate record id '{again}'"):
             load_labels(str(p))
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from entres.matching import (
     FieldMatchGraph,
-    ForcedPairConflictError,
     build_graph,
     km_max_weight,
     resolve_forced_pairs,
@@ -62,10 +61,6 @@ class TestBuildGraph:
         # rf=1 is taken, so (5, 1) disappears entirely
         assert graph.is_empty
         assert mapped == [(1, 2, 1.0)]
-
-    def test_forced_conflict_raises(self):
-        with pytest.raises(ForcedPairConflictError):
-            build_graph([(1, 1, 1.0)], forced=[(1, 1), (1, 2)])
 
     def test_forced_fields_block_row_and_column(self):
         # forcing (2, 2) removes every edge touching lf=2 or rf=2; the

@@ -375,8 +375,10 @@ class TestApplyMerge:
     def _merge_chain(seed, n_records, n_merges):
         """Merge random record pairs of a random store, checking after each
         merge that the maintained index equals a rebuild, pair for pair and
-        in index order.  Returns how many merges the higher rid survived and
-        how many moved pairs were folded into a pair the survivor held."""
+        in index order, that each run is one list under both its records,
+        and that the absorbed record has no row and is in no row.  Returns
+        how many merges the higher rid survived and how many moved pairs
+        were folded into a pair the survivor held."""
         rng = random.Random(seed)
         store = random_store(rng, n_records, max_values=3)
         index = build_index(store, XI)
@@ -387,9 +389,16 @@ class TestApplyMerge:
                 break
             i, j = sorted(rng.sample(sorted(store), 2))
             kept = len(index) - len(index.lookup_range(i, j))
-            higher += _merge_and_update(store, index, i, j, forest).rid == j
+            k = _merge_and_update(store, index, i, j, forest).rid
+            higher += k == j
             dropped += kept - len(index)
             assert list(index.iter_pairs()) == list(build_index(store, XI).iter_pairs())
+            gone = i + j - k
+            assert gone not in index._runs
+            for a, row in index._runs.items():
+                assert gone not in row
+                for b, run in row.items():
+                    assert index._runs[b][a] is run
         return higher, dropped
 
     @settings(max_examples=150, deadline=None)
@@ -405,17 +414,13 @@ class TestApplyMerge:
 
 
 class TestInspection:
-    def test_rows_are_numbered_in_order(self, customer_store):
-        index = build_index(customer_store, XI)
-        rows = list(index.rows())
-        assert [pid for pid, *_ in rows] == list(range(1, len(index) + 1))
-
     def test_dump_jsonl_round_trips(self, customer_store):
         index = build_index(customer_store, XI)
         buf = io.StringIO()
         index.dump_jsonl(buf)
         lines = [json.loads(line) for line in buf.getvalue().splitlines()]
-        assert len(lines) == len(index)
-        first = lines[0]
-        assert set(first) == {"pid", "left", "right", "sim"}
-        assert first["pid"] == 1
+        assert [line["pid"] for line in lines] == list(range(1, len(index) + 1))
+        assert all(set(line) == {"pid", "left", "right", "sim"} for line in lines)
+        assert [(line["left"], line["right"], line["sim"]) for line in lines] == [
+            (list(p.left), list(p.right), p.sim) for p in index.iter_pairs()
+        ]

@@ -1,7 +1,8 @@
 import random
+import unicodedata
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from entres.records import (
     AttrOrigin,
@@ -34,6 +35,18 @@ class TestNormalize:
     @given(st.text(max_size=30))
     def test_idempotent(self, s):
         assert normalize_value(normalize_value(s)) == normalize_value(s)
+
+    def test_composed_and_decomposed_accents_agree(self):
+        assert normalize_value("Caf\u00e9") == normalize_value("Cafe\u0301") == "caf\u00e9"
+
+    # letters and combining marks of several canonical classes, among them
+    # U+0345, which case-folds from a combining mark into the letter iota
+    @given(st.text(max_size=30)
+           | st.text(st.sampled_from("aEι\u00e9\u0390\u0345\u0300\u0301\u0308\u0313\u0323\u0327"),
+                     max_size=8))
+    @example("\u0345\u0300")
+    def test_canonically_equivalent_strings_agree(self, s):
+        assert normalize_value(s) == normalize_value(unicodedata.normalize("NFD", s))
 
 
 class TestForest:
