@@ -413,13 +413,22 @@ class TestApplyMerge:
         assert sum(dropped for _, dropped in counts) > 0
 
 
+def _dumped_lines(index):
+    buf = io.StringIO()
+    index.dump_jsonl(buf)
+    return [json.loads(line) for line in buf.getvalue().splitlines()]
+
+
 class TestInspection:
+    def test_rows_are_numbered_in_order(self, customer_store):
+        index = build_index(customer_store, XI)
+        lines = _dumped_lines(index)
+        assert [line["pid"] for line in lines] == list(range(1, len(index) + 1))
+
     def test_dump_jsonl_round_trips(self, customer_store):
         index = build_index(customer_store, XI)
-        buf = io.StringIO()
-        index.dump_jsonl(buf)
-        lines = [json.loads(line) for line in buf.getvalue().splitlines()]
-        assert [line["pid"] for line in lines] == list(range(1, len(index) + 1))
+        lines = _dumped_lines(index)
+        assert len(lines) == len(index)
         assert all(set(line) == {"pid", "left", "right", "sim"} for line in lines)
         assert [(line["left"], line["right"], line["sim"]) for line in lines] == [
             (list(p.left), list(p.right), p.sim) for p in index.iter_pairs()
