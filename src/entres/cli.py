@@ -14,8 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import IO, Hashable, Mapping
+from typing import IO, Hashable, Iterator, Mapping
 
 from .engine import EngineConfig, ResolutionEngine
 from .pair_index import RecordStore
@@ -42,6 +43,28 @@ class EvalReport:
     gold_pairs: int
 
 
+def _reject_constant(name: str) -> None:
+    raise ValueError(f"{name} is not a JSON number")
+
+
+# a float keeps its JSON text, so 1e5 and 100000.0 stay two values
+_DECODER = json.JSONDecoder(parse_float=str, parse_constant=_reject_constant)
+
+
+def _json_lines(path: str) -> Iterator[tuple[int, object]]:
+    """``(line number, document)`` for each non-blank line of ``path``."""
+    with open(path, encoding="utf-8") as fp:
+        for lineno, line in enumerate(fp, 1):
+            if not line.strip():
+                continue
+            try:
+                doc = _DECODER.decode(line)
+            except ValueError as exc:  # a JSONDecodeError or a rejected constant
+                why = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+                raise InputError(f"line {lineno}: invalid JSON ({why})") from exc
+            yield lineno, doc
+
+
 def _object(value: object, what: str, where: str) -> dict:
     """``value`` if it is a JSON object; anything else is rejected."""
     if not isinstance(value, dict):
@@ -50,9 +73,10 @@ def _object(value: object, what: str, where: str) -> dict:
 
 
 def _text(value: object, what: str, where: str) -> str:
-    """A string as is, a number as ``str()`` of it and a boolean as its
+    """A string as is, an integer as ``str()`` of it and a boolean as its
     JSON text ``true`` or ``false``; anything else has no text to compare
-    and is rejected."""
+    and is rejected.  A float read from a file is already its JSON text
+    (see ``_DECODER``); one passed in directly is ``str()`` of it."""
     if isinstance(value, str):
         return value
     if isinstance(value, bool):
@@ -126,29 +150,21 @@ def parse_input(path: str) -> ParsedRecords:
     store: RecordStore = {}
     ids: dict[int, str] = {}
     seen_ids: set[str] = set()
-    with open(path, encoding="utf-8") as fp:
-        rid = 0
-        for lineno, line in enumerate(fp, 1):
-            if not line.strip():
-                continue
-            rid += 1
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            ext_id, rec = record_from_doc(doc, rid, lineno)
-            if ext_id in seen_ids:
-                raise InputError(f"line {lineno}: duplicate record id {ext_id!r}")
-            seen_ids.add(ext_id)
-            store[rid] = rec
-            ids[rid] = ext_id
+    for rid, (lineno, doc) in enumerate(_json_lines(path), 1):
+        ext_id, rec = record_from_doc(doc, rid, lineno)
+        if ext_id in seen_ids:
+            raise InputError(f"line {lineno}: duplicate record id {ext_id!r}")
+        seen_ids.add(ext_id)
+        store[rid] = rec
+        ids[rid] = ext_id
     if not store:
         raise InputError("no records in input")
     return ParsedRecords(store=store, ids=ids)
 
 
-def _pair_count(sizes: list[int]) -> int:
-    return sum(s * (s - 1) // 2 for s in sizes)
+def _pair_count(sizes: Counter) -> int:
+    """Unordered pairs within each group of a tally of group sizes."""
+    return sum(s * (s - 1) // 2 for s in sizes.values())
 
 
 def evaluate(
@@ -164,17 +180,9 @@ def evaluate(
     missing = [k for k in gold if k not in labels]
     if missing:
         raise ValueError(f"gold records without labels: {missing[:5]}")
-    by_emitted: dict[Hashable, int] = {}
-    by_gold: dict[Hashable, int] = {}
-    by_both: dict[tuple, int] = {}
-    for k in gold:
-        by_emitted[labels[k]] = by_emitted.get(labels[k], 0) + 1
-        by_gold[gold[k]] = by_gold.get(gold[k], 0) + 1
-        both = (labels[k], gold[k])
-        by_both[both] = by_both.get(both, 0) + 1
-    emitted = _pair_count(list(by_emitted.values()))
-    gold_pairs = _pair_count(list(by_gold.values()))
-    tp = _pair_count(list(by_both.values()))
+    emitted = _pair_count(Counter(labels[k] for k in gold))
+    gold_pairs = _pair_count(Counter(gold.values()))
+    tp = _pair_count(Counter((labels[k], g) for k, g in gold.items()))
     precision = tp / emitted if emitted else 0.0
     recall = tp / gold_pairs if gold_pairs else 0.0
     f1 = 0.0 if precision == 0.0 or recall == 0.0 else 2.0 / (1.0 / precision + 1.0 / recall)
@@ -193,20 +201,17 @@ def load_labels(path: str) -> dict[str, str]:
     record.  Both are taken as text the way an input id is, so a label
     file names a record exactly as the input does; an id may appear once."""
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fp:
-        for lineno, line in enumerate(fp, 1):
-            if not line.strip():
-                continue
-            where = f"line {lineno}: "
-            try:
-                doc = _object(json.loads(line), "a label line", where)
-                ext_id, entity = doc["id"], doc["entity"]
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise InputError(f"{where}bad label line ({exc})") from exc
-            ext_id = _text(ext_id, "key 'id' holds", where)
-            if ext_id in out:
-                raise InputError(f"{where}duplicate record id {ext_id!r}")
-            out[ext_id] = _text(entity, "key 'entity' holds", where)
+    for lineno, doc in _json_lines(path):
+        where = f"line {lineno}: "
+        doc = _object(doc, "a label line", where)
+        try:
+            ext_id, entity = doc["id"], doc["entity"]
+        except KeyError as exc:
+            raise InputError(f"{where}bad label line ({exc})") from exc
+        ext_id = _text(ext_id, "key 'id' holds", where)
+        if ext_id in out:
+            raise InputError(f"{where}duplicate record id {ext_id!r}")
+        out[ext_id] = _text(entity, "key 'entity' holds", where)
     if not out:
         raise InputError("no labels in file")
     return out
@@ -224,9 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--q", type=int, default=defaults.q, help="gram length")
     parser.add_argument("--rho", type=float, default=defaults.rho, help="vote error-probability threshold")
     parser.add_argument("--prior", type=float, default=defaults.prior, help="prediction correctness prior")
-    parser.add_argument(
-        "--max-iters", type=int, default=defaults.max_iterations, help="iteration cap (default: record count)"
-    )
     parser.add_argument("--ground-truth", default=None, help="gold labels (same format as output)")
     parser.add_argument("--emit-matchings", default=None, help="write promoted schema matchings here")
     parser.add_argument("--dump-index", default=None, help="write the freshly built index here")
@@ -237,16 +239,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = EngineConfig(
-        delta=args.delta,
-        xi=args.xi,
-        q=args.q,
-        rho=args.rho,
-        prior=args.prior,
-        max_iterations=args.max_iters,
-    )
     try:
-        config.validate()
+        config = EngineConfig(delta=args.delta, xi=args.xi, q=args.q, rho=args.rho, prior=args.prior)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -262,12 +256,6 @@ def main(argv: list[str] | None = None) -> int:
             engine.index.dump_jsonl(fp)
 
     result = engine.run()
-    if not result.converged:
-        print(
-            f"entres: warning: no fixpoint within {result.iterations} iterations; "
-            "emitting partial result",
-            file=sys.stderr,
-        )
 
     def write_labels(fp: IO[str]) -> None:
         for rid in sorted(parsed.ids):

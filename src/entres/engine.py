@@ -22,16 +22,17 @@ from .schema_vote import PromotedMatching, SchemaVoteLedger
 from .similarity import DEFAULT_Q, FieldMatchingSet
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineConfig:
+    """Run thresholds, checked when built: an invalid config cannot exist."""
+
     delta: float = 0.5  # record similarity threshold
     xi: float = 0.5  # value similarity threshold
     q: int = DEFAULT_Q
     rho: float = 0.6  # vote error-probability threshold
     prior: float = 0.8  # per-prediction correctness prior
-    max_iterations: int | None = None  # default: number of records
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (0.0 < self.delta <= 1.0):
             raise ValueError("delta must lie in (0, 1]")
         if not (0.0 < self.xi <= 1.0):
@@ -42,8 +43,6 @@ class EngineConfig:
             raise ValueError("rho must lie in (0, 1)")
         if not (0.5 < self.prior <= 1.0):
             raise ValueError("prior must lie in (0.5, 1]")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass
@@ -77,7 +76,6 @@ class ResolutionEngine:
 
     def __init__(self, records: RecordStore, config: EngineConfig | None = None) -> None:
         self.config = config or EngineConfig()
-        self.config.validate()
         if not records:
             raise ValueError("no records to resolve")
         for rec in records.values():
@@ -107,10 +105,8 @@ class ResolutionEngine:
         for (i, j), _score in direct:
             if i in touched or j in touched:
                 continue  # bound computed before a merge changed this record
-            bound = self.index.cal_bound(i, j)
-            if bound.has_multiple or bound.up < cfg.delta:
-                continue
-            self.merge_pair(i, j, FieldMatchingSet(bound.refined))
+            # untouched since generate_candidates bounded it, so still direct
+            self.merge_pair(i, j, FieldMatchingSet(self.index.cal_bound(i, j).refined))
             touched.update((i, j))
             merges += 1
 
@@ -136,13 +132,10 @@ class ResolutionEngine:
         return merges
 
     def run(self) -> ResolutionResult:
-        cfg = self.config
-        limit = cfg.max_iterations or len(self._original_ids)
-        history: list[int] = []
-        for _ in range(limit):
+        # each merge removes a live record, so the fixpoint comes within n iterations
+        history = [self._run_iteration()]
+        while history[-1]:
             history.append(self._run_iteration())
-            if history[-1] == 0:
-                break
         labels = {rid: self.forest.find(rid) for rid in self._original_ids}
         return ResolutionResult(
             labels=labels,

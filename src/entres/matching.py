@@ -134,18 +134,13 @@ def km_max_weight(graph: FieldMatchGraph) -> tuple[list[tuple[int, int, float]],
     weight = [[0.0] * n for _ in range(n)]
     lpos = {lf: i for i, lf in enumerate(graph.left)}
     rpos = {rf: i for i, rf in enumerate(graph.right)}
-    w_of = {}
     for lf, rf, s in graph.edges:
         weight[lpos[lf]][rpos[rf]] = s
-        w_of[(lf, rf)] = s
     link = _km_square(weight)
-    matching = []
-    for y, x in enumerate(link):
-        if x < len(graph.left) and y < len(graph.right):
-            pair = (graph.left[x], graph.right[y])
-            if pair in w_of and w_of[pair] > 0.0:
-                matching.append((pair[0], pair[1], w_of[pair]))
-    matching.sort()
+    # a dummy vertex's row and column hold only zeros
+    matching = sorted(
+        (graph.left[x], graph.right[y], weight[x][y]) for y, x in enumerate(link) if weight[x][y] > 0.0
+    )
     return matching, sum(s for _, _, s in matching)
 
 

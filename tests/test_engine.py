@@ -1,6 +1,8 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import entres.engine as engine_module
 import entres.matching as matching
@@ -23,18 +25,20 @@ def entity_sets(result):
 
 class TestConfig:
     def test_defaults_valid(self):
-        EngineConfig().validate()
+        EngineConfig()
 
     @pytest.mark.parametrize(
         "kwargs",
-        [
-            {"delta": 0.0}, {"delta": 1.2}, {"xi": 0.0}, {"q": 0},
-            {"rho": 1.0}, {"prior": 0.5}, {"max_iterations": 0},
-        ],
+        [{"delta": 0.0}, {"delta": 1.2}, {"xi": 0.0}, {"q": 0}, {"rho": 1.0}, {"prior": 0.5}],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            EngineConfig(**kwargs).validate()
+            EngineConfig(**kwargs)
+
+    def test_frozen(self):
+        config = EngineConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.delta = 0.0
 
 
 class TestCustomerScenario:
@@ -67,11 +71,6 @@ class TestCustomerScenario:
         result = run(customer_store, EngineConfig(delta=0.95))
         assert result.merges == 0
         assert len(entity_sets(result)) == 6
-
-    def test_iteration_cap_reports_non_convergence(self, customer_store):
-        result = run(customer_store, EngineConfig(max_iterations=1))
-        assert result.merge_history == (3,)
-        assert not result.converged
 
     def test_input_store_not_mutated(self, customer_store):
         before = dict(customer_store)
@@ -121,6 +120,16 @@ class TestInvariants:
             for eid, members in result.entities.items():
                 assert eid in members  # the entity id is a member's rid
             assert result.merges == len(store) - len(result.entities)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 20))
+    def test_stops_at_fixpoint_within_n_iterations(self, seed, n):
+        # every iteration but the last merges, and each merge removes a live
+        # record, so the loop needs no cap
+        store = random_store(random.Random(seed), n)
+        history = run(dict(store)).merge_history
+        assert all(m > 0 for m in history[:-1]) and history[-1] == 0
+        assert len(history) <= len(store)
 
     def test_monotone_in_delta(self):
         # a stricter threshold can only split entities, never merge more
