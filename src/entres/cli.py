@@ -52,9 +52,19 @@ _DECODER = json.JSONDecoder(parse_float=str, parse_constant=_reject_constant)
 
 
 def _json_lines(path: str) -> Iterator[tuple[int, object]]:
-    """``(line number, document)`` for each non-blank line of ``path``."""
-    with open(path, encoding="utf-8") as fp:
-        for lineno, line in enumerate(fp, 1):
+    """``(line number, document)`` for each non-blank line of ``path``.
+
+    Lines end where they do in text mode (at a line feed, a carriage
+    return or both), and each is decoded as UTF-8 on its own, so a byte
+    sequence that is not UTF-8 is reported with its line number."""
+    with open(path, "rb") as fp:
+        for lineno, raw in enumerate((line for chunk in fp for line in chunk.splitlines()), 1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise InputError(
+                    f"line {lineno}: not valid UTF-8 ({exc.reason} at byte {exc.start + 1})"
+                ) from exc
             if not line.strip():
                 continue
             try:

@@ -26,7 +26,7 @@ import json
 import math
 from collections import Counter, defaultdict
 from types import MappingProxyType
-from typing import IO, Iterable, Iterator, Mapping, NamedTuple
+from typing import IO, Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from .records import SuperRecord
 from .similarity import DEFAULT_Q, gram_jaccard, qgrams
@@ -98,7 +98,15 @@ class ValuePairIndex:
         pairs, either side first (no join performed); a field pair given
         more than once keeps its best similarity."""
         index = cls(store, xi, q)
-        runs = index._runs
+        index._append(pairs)
+        index._fold_runs(index._runs)
+        return index
+
+    def _append(self, pairs: Iterable[tuple[tuple[int, int], tuple[int, int], float]]) -> None:
+        """Append each field pair to the run of its record pair, smaller
+        rid on the left; a field pair given twice is held twice until
+        :meth:`_fold_runs` folds its run."""
+        runs = self._runs
         for (ri, fi), (rj, fj), sim in pairs:
             if ri == rj:
                 raise ValueError("indexed pairs must span two records")
@@ -109,11 +117,15 @@ class ValuePairIndex:
                 runs.setdefault(ri, {})[rj] = runs.setdefault(rj, {})[ri] = [(fi, fj, sim)]
             else:
                 run.append((fi, fj, sim))
-        for i, row in runs.items():
+
+    def _fold_runs(self, rids: Collection[int]) -> None:
+        """Fold every run with an end in ``rids`` (see :func:`_fold`)."""
+        runs = self._runs
+        for i in rids:
+            row = runs.get(i, _NO_RUNS)
             for j, run in row.items():
-                if i < j:
+                if i < j or j not in rids:  # a run with both ends in rids is folded once
                     row[j] = runs[j][i] = _fold(run)
-        return index
 
     # -- read operations --------------------------------------------------
 
@@ -241,6 +253,10 @@ class ValuePairIndex:
             )
 
 
+# prefix grams a qualifying pair of gram sets shares (see _similar_gram_sets)
+_PREFIX_GRAMS = 2
+
+
 def _min_overlap(size: int, xi: float) -> int:
     """Fewest shared grams a set of ``size`` grams needs with any partner
     whose ``gram_jaccard`` reaches ``xi``.
@@ -258,17 +274,24 @@ def _similar_gram_sets(
     sets: list[frozenset[str]], xi: float
 ) -> Iterator[tuple[int, int, float]]:
     """Positions ``(a, b, sim)`` of every pair of distinct non-empty gram
-    sets with ``gram_jaccard >= xi`` (AllPairs: prefix and size filtering).
+    sets with ``gram_jaccard >= xi``: a prefix join that counts the prefix
+    grams a pair shares before scoring it (the ℓ-prefix scheme of Wang,
+    Li and Feng, with ℓ = ``_PREFIX_GRAMS`` = 2), plus size filtering.
 
-    Grams are ranked rarest first, which keeps posting lists short.  Any
-    two sets reaching ``xi`` share a gram within each one's first
-    ``|g| - _min_overlap(|g|) + 1`` ranked grams: their lowest-ranked
-    common gram is followed, in both, by at least ``_min_overlap - 1``
-    more common grams.  Sets are visited by increasing size, each probes the
-    inverted list of its prefix grams and is then added to it, so every
-    qualifying pair is met once, when its larger set probes.  A partner
-    smaller than ``_min_overlap`` of the probing set cannot qualify and is
-    not scored.
+    Grams are ranked rarest first, which keeps posting lists short.  A
+    pair reaching ``xi`` shares at least ``need = _min_overlap(|g|)``
+    grams, for either of its sets ``g``.  When ``need >= 2``, let c1 < c2
+    be the pair's two lowest-ranked common grams: in each set, c2 is
+    followed by at least ``need - 2`` more common grams, so both lie
+    within that set's first ``|g| - need + 2`` ranked grams, its prefix.
+    When ``need`` is 1, the prefix is the whole set and holds the one
+    common gram needed.  Sets are visited by increasing size; each counts,
+    per partner already indexed, the grams of its own prefix under which
+    the partner is indexed, and is then indexed under its prefix.  So
+    every qualifying pair is met once, when its larger set probes, with
+    at least ``min(2, need)`` hits, and no per-set state is kept.  A
+    partner with fewer hits, or smaller than ``need``, cannot qualify and
+    is not scored.
     """
     freq = Counter(gram for g in sets for gram in g)
     rank = {gram: r for r, gram in enumerate(sorted(freq, key=lambda gram: (freq[gram], gram)))}
@@ -276,17 +299,16 @@ def _similar_gram_sets(
     for b in sorted((pos for pos, g in enumerate(sets) if g), key=lambda pos: len(sets[pos])):
         g = sets[b]
         need = _min_overlap(len(g), xi)
-        seen: set[int] = set()
-        for r in sorted(rank[gram] for gram in g)[: len(g) - need + 1]:
-            for a in postings[r]:
-                if a in seen:
-                    continue
-                seen.add(a)
-                if len(sets[a]) < need:
-                    continue
+        prefix = sorted(rank[gram] for gram in g)[: len(g) - need + _PREFIX_GRAMS]
+        least = min(_PREFIX_GRAMS, need)
+        # partners in order of their first shared prefix gram
+        hits = Counter(itertools.chain.from_iterable(postings[r] for r in prefix))
+        for a, shared in hits.items():
+            if shared >= least and len(sets[a]) >= need:
                 sim = gram_jaccard(sets[a], g)
                 if sim >= xi:
                     yield a, b, sim
+        for r in prefix:
             postings[r].append(b)
 
 
@@ -298,12 +320,17 @@ def build_index(store: RecordStore, xi: float, q: int = DEFAULT_Q) -> ValuePairI
     grouped by the gram sets of their values and only the distinct sets
     are joined (see :func:`_similar_gram_sets`).  Fields sharing a set
     pair at ``gram_jaccard(g, g)`` (1.0); each similar set pair expands to
-    all its cross-record field pairs.  A field pair reached through
-    several value pairs keeps the best (see :meth:`ValuePairIndex.from_pairs`).
+    all its cross-record field pairs.  A field pair is reached once per
+    pair of its values' gram sets, so only a field holding more than one
+    value can reach it twice: only the runs of records with such a field
+    are folded to the best value pair per field pair.
     """
     groups: dict[frozenset[str], list[tuple[int, int]]] = defaultdict(list)
+    multi_valued: set[int] = set()
     for rid in sorted(store):
         for fid, fld in enumerate(store[rid].fields, 1):
+            if len(fld.values) > 1:
+                multi_valued.add(rid)
             for v in fld.values:
                 groups[qgrams(v, q)].append((rid, fid))
 
@@ -321,4 +348,7 @@ def build_index(store: RecordStore, xi: float, q: int = DEFAULT_Q) -> ValuePairI
                     if left[0] != right[0]:
                         yield left, right, sim
 
-    return ValuePairIndex.from_pairs(store, pairs(), xi, q)
+    index = ValuePairIndex(store, xi, q)
+    index._append(pairs())
+    index._fold_runs(multi_valued)
+    return index

@@ -2,9 +2,10 @@
 value pairs, and record-level similarity over a one-to-one field matching.
 
 The value metric is q-gram Jaccard and cannot be swapped: the join's
-filters (``pair_index._min_overlap``, prefix and size) are derived for
-Jaccard, so another metric would silently lose value pairs.  Above the
-value level, only a symmetric score in [0, 1] is assumed.
+filters (``pair_index._min_overlap``, the two-gram prefix count and the
+size filter) are derived for Jaccard, so another metric would silently
+lose value pairs.  Above the value level, only a symmetric score in
+[0, 1] is assumed.
 """
 
 from __future__ import annotations

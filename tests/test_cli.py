@@ -403,6 +403,25 @@ class TestMain:
         assert main(["--input", str(tmp_path / "nope.jsonl")]) == 1
         assert "entres:" in capsys.readouterr().err
 
+    def test_non_utf8_input_fails_with_line(self, tmp_path, capsys):
+        # "café" in Latin-1 on the third line, after a blank one
+        p = tmp_path / "latin1.jsonl"
+        good = CUSTOMERS.read_bytes().splitlines()[0]
+        p.write_bytes(good + b"\n\n" + good.replace(b'"r1"', b'"caf\xe9"') + b"\n")
+        assert main(["--input", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("entres: line 3: not valid UTF-8 (")
+
+    def test_non_utf8_ground_truth_fails_with_line(self, tmp_path, capsys):
+        gold = tmp_path / "gold.jsonl"
+        gold.write_bytes(CUSTOMERS_GOLD.read_bytes() + b'{"id": "r\xe9", "entity": "r1"}\n')
+        n_lines = len(CUSTOMERS_GOLD.read_bytes().splitlines())
+        code = main(["--input", str(CUSTOMERS), "--out", str(tmp_path / "labels.jsonl"),
+                     "--ground-truth", str(gold)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"entres: line {n_lines + 1}: not valid UTF-8 (")
+
     def test_bad_delta_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--input", str(CUSTOMERS), "--delta", "1.5"])

@@ -7,6 +7,7 @@ import string
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import entres.pair_index as pair_index
 from entres.engine import EngineConfig, ResolutionEngine
 from entres.matching import verify_pair
 from entres.pair_index import FieldLabel, ValuePairIndex, _similar_gram_sets, build_index
@@ -20,7 +21,7 @@ from entres.records import (
 )
 from entres.similarity import gram_jaccard, qgrams, simf
 from entres.synth import clustered_corpus, split_attribute_corpus
-from tests.conftest import random_store, reference_cal_bound
+from tests.conftest import lookalike_store, random_store, reference_cal_bound
 
 XI = 0.5
 
@@ -106,12 +107,20 @@ class TestConstruction:
         # identical phone numbers survive with similarity 1
         assert pairs[(FieldLabel(1, 3), FieldLabel(6, 3))] == 1.0
 
-    def test_field_pair_keeps_its_best_value_pair(self):
-        # "bush" meets "bush" (1.0) and "bushel" (3/5): one entry, the best
-        a = basic_record(1, [(AttrOrigin("s1", "name"), "bush")])
-        b = SuperRecord(2, [Field(["bushel", "bush"], {AttrOrigin("s2", "name")})])
-        index = build_index({1: a, 2: b}, XI)
-        assert list(index.iter_pairs()) == [(FieldLabel(1, 1), FieldLabel(2, 1), 1.0)]
+    @pytest.mark.parametrize("multi_rid", [1, 2], ids=["lower_rid", "higher_rid"])
+    @pytest.mark.parametrize(
+        "values, best",
+        # "bush" meets "bush" (one gram set, 1.0) and "bushel" (3/5), or
+        # "bushel" and "bushy" (3/4), two sets the join pairs with it
+        [(["bushel", "bush"], 1.0), (["bushel", "bushy"], 0.75)],
+        ids=["identical_set", "similar_sets"],
+    )
+    def test_field_pair_keeps_its_best_value_pair(self, multi_rid, values, best):
+        # one entry, the best, whichever record holds the multi-valued field
+        single = basic_record(3 - multi_rid, [(AttrOrigin("s1", "name"), "bush")])
+        multi = SuperRecord(multi_rid, [Field(values, {AttrOrigin("s2", "name")})])
+        index = build_index({single.rid: single, multi.rid: multi}, XI)
+        assert list(index.iter_pairs()) == [(FieldLabel(1, 1), FieldLabel(2, 1), best)]
 
     def test_xi_cutoff(self, customer_store):
         index = build_index(customer_store, XI)
@@ -156,9 +165,33 @@ class TestConstruction:
         assert len(got) == len(set(got))
         assert set(got) == want
 
+    def test_pair_sharing_one_prefix_gram_is_not_scored(self, monkeypatch):
+        # xi 0.5 asks two four-gram sets for two common grams.  Sets 0 and 1
+        # share only "a", which the other sets leave the rarest gram of both,
+        # so it lies in the first 4 - 2 + 1 ranked grams of each; sets 0 and 3
+        # share three grams and qualify
+        sets = [frozenset("abcd"), frozenset("aefg"), frozenset("bcdefghijklm"),
+                frozenset("bcdy")]
+        scored = []
+
+        def recording(g1, g2):
+            scored.append({g1, g2})
+            return gram_jaccard(g1, g2)
+
+        monkeypatch.setattr(pair_index, "gram_jaccard", recording)
+        got = [(min(a, b), max(a, b), sim) for a, b, sim in _similar_gram_sets(sets, XI)]
+        assert got == [(0, 3, 0.6)]
+        assert {sets[0], sets[1]} not in scored
+        assert {
+            (a, b, sim)
+            for a, b in itertools.combinations(range(len(sets)), 2)
+            if (sim := gram_jaccard(sets[a], sets[b])) >= XI
+        } == set(got)
+
     @pytest.mark.parametrize(
-        "store", [clustered_corpus(30, 8)[0], split_attribute_corpus(40)[0]],
-        ids=["clustered", "split_attribute"],
+        "store",
+        [clustered_corpus(30, 8)[0], split_attribute_corpus(40)[0], lookalike_store(20, 0)],
+        ids=["clustered", "split_attribute", "lookalike"],
     )
     def test_engine_same_with_nested_loop_index(self, store):
         config = EngineConfig()
