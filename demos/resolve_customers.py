@@ -19,7 +19,7 @@ def main() -> None:
     parsed = parse_input(str(DATA))
     print(f"loaded {len(parsed.store)} records from {DATA.name}\n")
 
-    print("== first-round bounds (xi = 0.5, delta = 0.5) ==")
+    print("== the first pass's plan (xi = 0.5, delta = 0.5) ==")
     index = build_index(parsed.store, xi=0.5)
     candidates, direct = index.generate_candidates(0.5)
     for (i, j), sim in direct:
@@ -30,6 +30,8 @@ def main() -> None:
             f"  candidate ({parsed.ids[i]}, {parsed.ids[j]})  "
             f"up = {bound.up:.4f}  (needs verification)"
         )
+    print("  (r4, r6) is deferred: a record takes part in at most one direct merge")
+    print("  per pass, (r1, r6) already merges r6, so this pass does not bound it")
     print()
 
     engine = ResolutionEngine(parsed.store, EngineConfig(delta=0.5, xi=0.5))

@@ -41,11 +41,14 @@ def main() -> None:
                   for a, b in itertools.combinations(sorted(gold), 2)
                   if gold[a] == gold[b]}
 
-    # single pass: score every record pair once, no merging
+    # single pass: score every indexed record pair once, no merging -- an
+    # exact bound is the similarity, any other bound reaching delta is verified
     index = build_index(dict(store), xi=0.5)
-    candidates, direct = index.generate_candidates(0.5)
-    single = {frozenset(key) for key, _ in direct}
-    single |= {frozenset(key) for key in candidates if verify_pair(index, *key).sim >= 0.5}
+    single = set()
+    for key in {(p.left.rid, p.right.rid) for p in index.iter_pairs()}:
+        bound = index.cal_bound(*key)
+        if bound.up >= 0.5 and (not bound.has_multiple or verify_pair(index, *key).sim >= 0.5):
+            single.add(frozenset(key))
 
     result = run(store, EngineConfig(delta=0.5, xi=0.5))
     iterative = set()

@@ -3,12 +3,13 @@ verification, schema voting and merging until no merge happens.
 
 One iteration = one candidate-generation pass.  Direct pairs (upper
 bound exact) are merged without verification; candidates go through the
-bipartite matching.  A direct pair whose endpoint was already touched by
-a merge this iteration is deferred -- its cached bound no longer
-describes the current record -- and is simply regenerated next round.
-Candidates are re-rooted through the union-find before verification,
-which is sound because every surviving field pair stays reachable under
-the merged roots.
+bipartite matching.  The pass plan holds record-disjoint direct pairs: a
+direct pair with a record that an earlier direct pair of the pass holds
+is deferred, without being bounded, and is simply regenerated next
+round, when its bound describes the merged record.  Candidates are
+re-rooted through the union-find before verification, which is sound
+because every surviving field pair stays reachable under the merged
+roots.
 """
 
 from __future__ import annotations
@@ -100,14 +101,10 @@ class ResolutionEngine:
         cfg = self.config
         candidates, direct = self.index.generate_candidates(cfg.delta)
         merges = 0
-        touched: set[int] = set()
 
         for (i, j), _score in direct:
-            if i in touched or j in touched:
-                continue  # bound computed before a merge changed this record
-            # untouched since generate_candidates bounded it, so still direct
+            # the plan is record-disjoint: no merge of this pass changed the pair
             self.merge_pair(i, j, FieldMatchingSet(self.index.cal_bound(i, j).refined))
-            touched.update((i, j))
             merges += 1
 
         seen: set[tuple[int, int]] = set()

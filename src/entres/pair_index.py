@@ -61,6 +61,13 @@ class BoundResult(NamedTuple):
     has_multiple: bool
 
 
+def _has_multiple(run: Run) -> bool:
+    """Whether a field on either side of ``run`` is covered by more than
+    one of its entries: then the bound of the run is not exact."""
+    n = len(run)
+    return len({lf for lf, _, _ in run}) < n or len({rf for _, rf, _ in run}) < n
+
+
 def _fold(run: Run) -> Run:
     """One entry per field pair, holding its best similarity, in order of
     first appearance.  A run without repeats is returned as it is."""
@@ -162,38 +169,50 @@ class ValuePairIndex:
         for lf, _, sim in run:
             if sim > up_by_left.get(lf, 0.0):
                 up_by_left[lf] = sim
-        n = len(run)
-        has_multiple = len(up_by_left) < n or len({rf for _, rf, _ in run}) < n
         m = min(self.store[i].width, self.store[j].width)
         # a float sum depends on the order of its terms: largest first, so
         # the bound does not depend on the order of the run.  Field
         # collisions can push the raw sum past m; the similarity itself
         # never exceeds 1, so clamp
         up = min(1.0, sum(sorted(up_by_left.values(), reverse=True)) / m)
-        return BoundResult(up, tuple(run), has_multiple)
+        return BoundResult(up, tuple(run), _has_multiple(run))
 
     def generate_candidates(
         self, delta: float
     ) -> tuple[list[tuple[int, int]], list[tuple[tuple[int, int], float]]]:
-        """One linear pass over the index runs.
+        """The plan of one pass: a walk over the index runs in
+        ``(rid_1, rid_2)`` order.
 
         Returns (candidates, direct): pairs whose upper bound reaches
         ``delta`` and need verification, and pairs whose bound is exact
         (no multiple field on either side) so their similarity is already
         known.  Pairs with upper bound below ``delta`` are pruned.
+
+        A record takes part in at most one direct merge per pass, so
+        ``direct`` is record-disjoint: a pair with a record that an
+        earlier direct pair of the walk holds is deferred to the next
+        pass, when its records are what this pass's merges made them.
+        Such a pair can only be a candidate if its run has a multiple
+        field, so it is bounded only then; deferred direct pairs are not
+        bounded at all.
         """
-        if not (0.0 <= delta <= 1.0):
-            raise ValueError("delta must lie in [0, 1]")
+        if not (0.0 < delta <= 1.0):
+            raise ValueError("delta must lie in (0, 1]")
         candidates: list[tuple[int, int]] = []
         direct: list[tuple[tuple[int, int], float]] = []
-        for key in self._pairs():
-            bound = self.cal_bound(*key)
+        held: set[int] = set()  # the records of the direct pairs planned so far
+        runs = self._runs
+        for i, j in self._pairs():
+            if (i in held or j in held) and not _has_multiple(runs[i][j]):
+                continue  # deferred or pruned: neither is acted on this pass
+            bound = self.cal_bound(i, j)
             if bound.up < delta:
                 continue
             if bound.has_multiple:
-                candidates.append(key)
+                candidates.append((i, j))
             else:
-                direct.append((key, bound.up))
+                direct.append(((i, j), bound.up))
+                held.update((i, j))
         return candidates, direct
 
     # -- maintenance ------------------------------------------------------

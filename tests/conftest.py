@@ -166,6 +166,36 @@ def reference_cal_bound(
     return min(1.0, sum(up_by_left.values()) / m), frozenset(refined), has_multiple
 
 
+def reference_generate_candidates(
+    index: ValuePairIndex, delta: float
+) -> tuple[list[tuple[int, int]], list[tuple[tuple[int, int], float]]]:
+    """The simple path for ``ValuePairIndex.generate_candidates``: bound
+    every record pair of the store with :func:`reference_cal_bound` and
+    classify it as pruned, candidate or direct, then walk the direct pairs
+    in order and drop each one with a record that a kept direct pair
+    already holds, as the engine's merge loop once did."""
+    rids = sorted(index.store)
+    candidates: list[tuple[int, int]] = []
+    direct: list[tuple[tuple[int, int], float]] = []
+    for a, i in enumerate(rids):
+        for j in rids[a + 1 :]:
+            up, _refined, has_multiple = reference_cal_bound(index, i, j)
+            if up < delta:
+                continue
+            if has_multiple:
+                candidates.append((i, j))
+            else:
+                direct.append(((i, j), up))
+    touched: set[int] = set()
+    kept = []
+    for (i, j), up in direct:
+        if i in touched or j in touched:
+            continue
+        kept.append(((i, j), up))
+        touched.update((i, j))
+    return candidates, kept
+
+
 def reference_merge_super_records(
     a: SuperRecord,
     b: SuperRecord,

@@ -295,13 +295,17 @@ def test_criterion_6_split_attribute_regression(capsys):
             if gold[a] == gold[b]
         }
 
-        # baseline: one pairwise pass over the index, no merging -- pairs
-        # are emitted directly from their first-round similarity
+        # baseline: one pairwise pass over every indexed record pair, no
+        # merging -- an exact bound is the pair's similarity, any other
+        # bound reaching DELTA is verified.  Not generate_candidates: its
+        # plan defers direct pairs that share a record
         index = build_index(dict(store), XI)
-        candidates, direct = index.generate_candidates(DELTA)
-        baseline_pairs = {frozenset(key) for key, _ in direct}
-        for key in candidates:
-            if verify_pair(index, *key).sim >= DELTA:
+        baseline_pairs = set()
+        for key in sorted({(p.left.rid, p.right.rid) for p in index.iter_pairs()}):
+            bound = index.cal_bound(*key)
+            if bound.up < DELTA:
+                continue
+            if not bound.has_multiple or verify_pair(index, *key).sim >= DELTA:
                 baseline_pairs.add(frozenset(key))
         baseline_f1 = _pairwise_scores(baseline_pairs, gold_pairs)
 

@@ -1,3 +1,4 @@
+import functools
 import io
 import itertools
 import json
@@ -7,6 +8,7 @@ import string
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import entres.engine as engine_module
 import entres.pair_index as pair_index
 from entres.engine import EngineConfig, ResolutionEngine
 from entres.matching import verify_pair
@@ -21,7 +23,14 @@ from entres.records import (
 )
 from entres.similarity import gram_jaccard, qgrams, simf
 from entres.synth import clustered_corpus, split_attribute_corpus
-from tests.conftest import lookalike_store, random_store, reference_cal_bound
+from tests.conftest import (
+    lookalike_store,
+    random_store,
+    reference_apply_merge,
+    reference_cal_bound,
+    reference_generate_candidates,
+    reference_merge_super_records,
+)
 
 XI = 0.5
 
@@ -247,9 +256,10 @@ def _six_field_store():
     return {1: mk(1), 2: mk(2)}
 
 
-def _merge_and_update(store, index, i, j, forest):
+def _merge_and_update(store, index, i, j, forest, reference=False):
     """Merge records ``i`` and ``j`` greedily on their refined field set
-    and maintain ``index``, as the engine does."""
+    and maintain ``index``, as the engine does, or with the simple paths
+    of the merge and the index maintenance when ``reference`` is set."""
     bound = index.cal_bound(i, j)
     matching, lf_used, rf_used = [], set(), set()
     for lf, rf, s in sorted(bound.refined, key=lambda t: (-t[2], t[0], t[1])):
@@ -257,10 +267,15 @@ def _merge_and_update(store, index, i, j, forest):
             matching.append((lf, rf, s))
             lf_used.add(lf)
             rf_used.add(rf)
-    merged, field_map = merge_super_records(store[i], store[j], matching, forest)
+    if reference:
+        merged, field_map = reference_merge_super_records(store[i], store[j], matching, forest)
+        apply_merge = functools.partial(reference_apply_merge, index)
+    else:
+        merged, field_map = merge_super_records(store[i], store[j], matching, forest)
+        apply_merge = index.apply_merge
     del store[i], store[j]
     store[merged.rid] = merged
-    index.apply_merge(i, j, merged.rid, field_map)
+    apply_merge(i, j, merged.rid, field_map)
     return merged
 
 
@@ -349,15 +364,71 @@ class TestCalBound:
 class TestGenerateCandidates:
     def test_invalid_delta(self, customer_store):
         index = build_index(customer_store, XI)
-        with pytest.raises(ValueError):
-            index.generate_candidates(1.5)
+        for delta in (0.0, 1.5):  # the range EngineConfig accepts, (0, 1]
+            with pytest.raises(ValueError):
+                index.generate_candidates(delta)
 
     def test_customer_partition(self, customer_store):
         index = build_index(customer_store, XI)
         candidates, direct = index.generate_candidates(0.5)
         assert candidates == [(2, 4)]
+        # (4, 6) is direct too, but (1, 6) holds r6, so it waits a pass
         assert [(key, pytest.approx(s)) for key, s in direct] == [
-            ((1, 6), 0.78), ((3, 5), 2 / 3), ((4, 6), 0.58)]
+            ((1, 6), 0.78), ((3, 5), 2 / 3)]
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from(["random", "lookalike"]),
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 14),
+        st.integers(0, 4),
+        st.sampled_from([0.3, 0.5, 0.7]),
+    )
+    def test_plan_matches_reference(self, kind, seed, n_records, n_merges, delta):
+        # the plan of the store as built and after each of a few merges
+        # made by the simple paths, against every pair bounded from the
+        # records and then filtered to record-disjoint direct pairs
+        rng = random.Random(seed)
+        if kind == "random":
+            store = random_store(rng, n_records, max_values=3)
+        else:
+            store = lookalike_store(n_records // 4 + 1, seed)
+        index = build_index(store, XI)
+        forest = EntityForest(store)
+        assert index.generate_candidates(delta) == reference_generate_candidates(index, delta)
+        for _ in range(n_merges):
+            if len(store) < 2:
+                break
+            i, j = sorted(rng.sample(sorted(store), 2))
+            _merge_and_update(store, index, i, j, forest, reference=True)
+            assert index.generate_candidates(delta) == reference_generate_candidates(index, delta)
+
+    def test_held_record_still_reaches_verification(self, monkeypatch):
+        # (1, 2) is direct and holds both records; record 3 holds the name
+        # twice, so (1, 3) and (2, 3) are multiple: they are candidates of
+        # the same pass, and the pair of their roots is verified in it
+        name = "john smith"
+        store = {
+            1: basic_record(1, [(AttrOrigin("crm", "name"), name)]),
+            2: basic_record(2, [(AttrOrigin("web", "login"), name)]),
+            3: basic_record(
+                3, [(AttrOrigin("billing", "customer"), name), (AttrOrigin("billing", "payee"), name)]
+            ),
+        }
+        index = build_index(store, XI)
+        assert index.generate_candidates(0.5) == ([(1, 3), (2, 3)], [((1, 2), 1.0)])
+
+        engine = ResolutionEngine(store, EngineConfig(delta=0.5, xi=XI))
+        verified = []
+        real = engine_module.verify_pair
+
+        def spy(index, i, j, *args):
+            verified.append((i, j))
+            return real(index, i, j, *args)
+
+        monkeypatch.setattr(engine_module, "verify_pair", spy)
+        assert engine._run_iteration() == 2
+        assert verified == [(engine.forest.find(1), 3)]
 
     def test_high_delta_prunes_everything(self, customer_store):
         index = build_index(customer_store, XI)
