@@ -25,7 +25,8 @@ from .similarity import DEFAULT_Q, FieldMatchingSet
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Run thresholds, checked when built: an invalid config cannot exist."""
+    """Run thresholds, checked when built: an invalid config cannot exist.
+    This is the one range check of each; the layers trust their values."""
 
     delta: float = 0.5  # record similarity threshold
     xi: float = 0.5  # value similarity threshold
@@ -49,7 +50,7 @@ class EngineConfig:
 @dataclass
 class ResolutionResult:
     labels: dict[int, int]  # original record id -> entity id (union-find root)
-    promoted: tuple[PromotedMatching, ...]
+    promoted: tuple[PromotedMatching, ...]  # see SchemaVoteLedger.promoted
     merge_history: tuple[int, ...]  # merges per iteration
 
     @property
@@ -79,9 +80,6 @@ class ResolutionEngine:
         self.config = config or EngineConfig()
         if not records:
             raise ValueError("no records to resolve")
-        for rec in records.values():
-            if not rec.fields:
-                raise ValueError("records must have at least one field")
         self.store: RecordStore = dict(records)
         self.forest = EntityForest(self.store)
         self.ledger = SchemaVoteLedger(p=self.config.prior, rho=self.config.rho)

@@ -122,14 +122,14 @@ def _km_square(weight: list[list[float]]) -> list[int]:
     return link
 
 
-def km_max_weight(graph: FieldMatchGraph) -> tuple[list[tuple[int, int, float]], float]:
+def km_max_weight(graph: FieldMatchGraph) -> list[tuple[int, int, float]]:
     """Maximum-weight matching of the (possibly unbalanced) graph.
 
     The smaller side is padded with dummy vertices joined by zero-weight
     edges; dummy and zero-weight assignments are stripped from the result.
     """
     if graph.is_empty:
-        return [], 0.0
+        return []
     n = max(len(graph.left), len(graph.right))
     weight = [[0.0] * n for _ in range(n)]
     lpos = {lf: i for i, lf in enumerate(graph.left)}
@@ -138,10 +138,9 @@ def km_max_weight(graph: FieldMatchGraph) -> tuple[list[tuple[int, int, float]],
         weight[lpos[lf]][rpos[rf]] = s
     link = _km_square(weight)
     # a dummy vertex's row and column hold only zeros
-    matching = sorted(
+    return sorted(
         (graph.left[x], graph.right[y], weight[x][y]) for y, x in enumerate(link) if weight[x][y] > 0.0
     )
-    return matching, sum(s for _, _, s in matching)
 
 
 def resolve_forced_pairs(
@@ -214,8 +213,7 @@ def verify_pair(
     bound = index.cal_bound(i, j)
     forced = resolve_forced_pairs(index, i, j, partners, bound.refined)
     graph, mapped = build_graph(bound.refined, [(lf, rf) for lf, rf, _ in forced])
-    km_edges, _ = km_max_weight(graph)
-    matching = FieldMatchingSet(forced + mapped + km_edges)
+    matching = FieldMatchingSet(forced + mapped + km_max_weight(graph))
     sim = record_sim(a, b, matching)
 
     predictions: list[tuple[AttrOrigin, AttrOrigin]] = []

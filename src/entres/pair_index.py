@@ -1,6 +1,6 @@
-"""The field-pair index: off-line construction by similarity join, range
-lookup, a record-similarity upper bound, candidate generation, and
-maintenance under record merges.
+"""The field-pair index: off-line construction by similarity join, a
+record-similarity upper bound, candidate generation, and maintenance
+under record merges.
 
 For every pair of fields of two different records whose most similar
 value pair reaches xi, the index holds that best similarity: exactly the
@@ -83,11 +83,8 @@ def _fold(run: Run) -> Run:
 class ValuePairIndex:
     """Catalogue of similar cross-record field pairs (see module docstring)."""
 
-    def __init__(self, store: RecordStore, xi: float, q: int = DEFAULT_Q) -> None:
-        if not (0.0 < xi <= 1.0):
-            raise ValueError("xi must lie in (0, 1]")
+    def __init__(self, store: RecordStore, q: int = DEFAULT_Q) -> None:
         self.store = store
-        self.xi = xi
         self.q = q
         self._runs: dict[int, dict[int, Run]] = {}  # rid -> other rid -> run
 
@@ -98,13 +95,13 @@ class ValuePairIndex:
         cls,
         store: RecordStore,
         pairs: Iterable[tuple[tuple[int, int], tuple[int, int], float]],
-        xi: float,
+        *,
         q: int = DEFAULT_Q,
     ) -> "ValuePairIndex":
         """Assemble an index from ``((rid, fid), (rid, fid), sim)`` field
         pairs, either side first (no join performed); a field pair given
         more than once keeps its best similarity."""
-        index = cls(store, xi, q)
+        index = cls(store, q)
         index._append(pairs)
         index._fold_runs(index._runs)
         return index
@@ -145,13 +142,6 @@ class ValuePairIndex:
             for j in sorted(j for j in self._runs[i] if j > i):
                 yield i, j
 
-    def lookup_range(self, i: int, j: int) -> tuple[IndexedPair, ...]:
-        """All field pairs between records ``i`` and ``j`` (``i < j``), best
-        first."""
-        if i >= j:
-            raise ValueError("lookup requires i < j")
-        return tuple(self._labelled(i, j))
-
     def cal_bound(self, i: int, j: int) -> BoundResult:
         """Upper bound of the record similarity of (i, j).
 
@@ -186,7 +176,9 @@ class ValuePairIndex:
         Returns (candidates, direct): pairs whose upper bound reaches
         ``delta`` and need verification, and pairs whose bound is exact
         (no multiple field on either side) so their similarity is already
-        known.  Pairs with upper bound below ``delta`` are pruned.
+        known.  Pairs with upper bound below ``delta`` are pruned.  The
+        range of ``delta`` is checked by
+        :class:`~entres.engine.EngineConfig`.
 
         A record takes part in at most one direct merge per pass, so
         ``direct`` is record-disjoint: a pair with a record that an
@@ -196,8 +188,6 @@ class ValuePairIndex:
         field, so it is bounded only then; deferred direct pairs are not
         bounded at all.
         """
-        if not (0.0 < delta <= 1.0):
-            raise ValueError("delta must lie in (0, 1]")
         candidates: list[tuple[int, int]] = []
         direct: list[tuple[tuple[int, int], float]] = []
         held: set[int] = set()  # the records of the direct pairs planned so far
@@ -333,7 +323,9 @@ def _similar_gram_sets(
 
 def build_index(store: RecordStore, xi: float, q: int = DEFAULT_Q) -> ValuePairIndex:
     """Similarity join over every value in ``store``: index every
-    cross-record field pair whose best value pair has simv >= xi.
+    cross-record field pair whose best value pair has simv >= xi.  The
+    ranges of ``xi`` and ``q`` are checked by
+    :class:`~entres.engine.EngineConfig`.
 
     Similarity depends on a value only through its gram set, so fields are
     grouped by the gram sets of their values and only the distinct sets
@@ -367,7 +359,7 @@ def build_index(store: RecordStore, xi: float, q: int = DEFAULT_Q) -> ValuePairI
                     if left[0] != right[0]:
                         yield left, right, sim
 
-    index = ValuePairIndex(store, xi, q)
+    index = ValuePairIndex(store, q)
     index._append(pairs())
     index._fold_runs(multi_valued)
     return index

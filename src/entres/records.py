@@ -109,9 +109,6 @@ class EntityForest:
         self._size[ri] += self._size[rj]
         return ri
 
-    def roots(self) -> set[int]:
-        return {self.find(i) for i in self._parent}
-
 
 def merge_super_records(
     a: SuperRecord,

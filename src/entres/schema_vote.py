@@ -32,13 +32,12 @@ def error_bound(n: int, p: float) -> float:
     """Upper bound on the majority-vote error after ``n`` predictions with
     per-prediction correctness prior ``p``: exp(-(n / 2p) * (p - 1/2)^2).
 
-    Strictly decreasing in ``n``.  ``p`` at or below 1/2 is rejected: the
-    vote carries no information there.
+    Strictly decreasing in ``n``.  ``p`` lies in (1/2, 1], checked by
+    :class:`~entres.engine.EngineConfig`: at or below 1/2 the vote carries
+    no information.
     """
     if n < 1:
         raise ValueError("need at least one prediction")
-    if not (0.5 < p <= 1.0):
-        raise ValueError("prior must lie in (0.5, 1]")
     return math.exp(-(n / (2.0 * p)) * (p - 0.5) ** 2)
 
 
@@ -62,16 +61,13 @@ class SchemaVoteLedger:
     schema).
 
     A promotion can be reached from either of its attributes, so the same
-    unordered pair may be promoted twice, once per key; ``promoted()``
-    lists both, while ``promoted_pairs()``, ``partners`` and the export
-    hold it once.
+    unordered pair may be promoted twice, once per key; ``promoted()``,
+    ``promoted_pairs()``, ``partners`` and the export hold it once.  The
+    ranges of ``p`` and ``rho`` are checked by
+    :class:`~entres.engine.EngineConfig`.
     """
 
     def __init__(self, p: float = 0.8, rho: float = 0.6) -> None:
-        if not (0.5 < p <= 1.0):
-            raise ValueError("prior must lie in (0.5, 1]")
-        if not (0.0 < rho < 1.0):
-            raise ValueError("rho must lie in (0, 1)")
         self.p = p
         self.rho = rho
         self._votes: dict[tuple[AttrOrigin, str], dict[AttrOrigin, int]] = {}
@@ -127,14 +123,13 @@ class SchemaVoteLedger:
         return promo
 
     def promoted(self) -> list[PromotedMatching]:
-        """Every promotion, one per (attribute, counterpart schema) key, in
-        promotion order."""
-        return list(self._promoted.values())
+        """The first promotion of each distinct attribute pair (unordered),
+        in promotion order: the rows :meth:`export_jsonl` writes."""
+        return list(self._distinct)
 
     def promoted_pairs(self) -> list[frozenset[AttrOrigin]]:
-        """Distinct promoted attribute pairs (unordered), in the order they
-        were first promoted."""
-        return [promo.as_pair() for promo in self._distinct]
+        """The pairs of :meth:`promoted`, unordered."""
+        return [promo.as_pair() for promo in self.promoted()]
 
     @property
     def partners(self) -> Mapping[AttrOrigin, AbstractSet[AttrOrigin]]:

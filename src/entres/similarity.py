@@ -22,10 +22,9 @@ def qgrams(value: str, q: int = DEFAULT_Q) -> frozenset[str]:
     """All length-q contiguous substrings of ``value`` as a set.
 
     Strings shorter than q yield themselves as a single gram; the empty
-    string yields the empty set.
+    string yields the empty set.  ``q >= 1`` is checked by
+    :class:`~entres.engine.EngineConfig`.
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
     if not value:
         return frozenset()
     if len(value) < q:

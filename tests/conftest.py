@@ -136,11 +136,12 @@ def reference_forced_pairs(
 
 
 def reference_cal_bound(
-    index: ValuePairIndex, i: int, j: int
+    index: ValuePairIndex, i: int, j: int, xi: float
 ) -> tuple[float, frozenset[tuple[int, int, float]], bool]:
     """The simple path for ``ValuePairIndex.cal_bound``, as
     ``(up, refined set, has_multiple)``, from the records alone: score
-    every field pair with ``simf`` and keep those at or above xi, count
+    every field pair with ``simf`` and keep those at or above ``xi`` (the
+    threshold the index was built with), count
     the refined pairs covering each field, and add the best pair per left
     field in the order a similarity-sorted scan meets them."""
     a, b = index.store[i], index.store[j]
@@ -148,7 +149,7 @@ def reference_cal_bound(
         (lf, rf, s)
         for lf, fa in enumerate(a.fields, 1)
         for rf, fb in enumerate(b.fields, 1)
-        if (s := simf(fa, fb, index.q)) >= index.xi
+        if (s := simf(fa, fb, index.q)) >= xi
     ]
     if not refined:
         return 0.0, frozenset(), False
@@ -167,7 +168,7 @@ def reference_cal_bound(
 
 
 def reference_generate_candidates(
-    index: ValuePairIndex, delta: float
+    index: ValuePairIndex, delta: float, xi: float
 ) -> tuple[list[tuple[int, int]], list[tuple[tuple[int, int], float]]]:
     """The simple path for ``ValuePairIndex.generate_candidates``: bound
     every record pair of the store with :func:`reference_cal_bound` and
@@ -179,7 +180,7 @@ def reference_generate_candidates(
     direct: list[tuple[tuple[int, int], float]] = []
     for a, i in enumerate(rids):
         for j in rids[a + 1 :]:
-            up, _refined, has_multiple = reference_cal_bound(index, i, j)
+            up, _refined, has_multiple = reference_cal_bound(index, i, j, xi)
             if up < delta:
                 continue
             if has_multiple:

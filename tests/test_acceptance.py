@@ -61,7 +61,7 @@ def test_criterion_1_worked_values(capsys):
             ((1, 4), (2, 3), 1.0),
             ((1, 5), (2, 5), 1.0),
         ]
-        index = ValuePairIndex.from_pairs(store, pairs, XI)
+        index = ValuePairIndex.from_pairs(store, pairs)
         bound = index.cal_bound(1, 2)
         assert bound.up == pytest.approx(0.56, abs=TOL)
         assert verify_pair(index, 1, 2).sim == pytest.approx(0.56, abs=TOL)
@@ -96,9 +96,9 @@ def test_criterion_2_end_to_end_fixture(capsys):
     _gate(2, "six-record fixture resolves end to end in < 1 s", body, capsys)
 
 
-def _exhaustive_record_sim(index, i, j):
+def _exhaustive_record_sim(index, i, j, xi):
     """Best one-to-one field matching by enumeration over field-pair simf
-    weights (only pairs at or above xi participate)."""
+    weights (only pairs at or above ``xi`` participate)."""
     a, b = index.store[i], index.store[j]
     weights = [
         [0.0] * b.width for _ in range(a.width)
@@ -106,7 +106,7 @@ def _exhaustive_record_sim(index, i, j):
     for lf in range(a.width):
         for rf in range(b.width):
             s = simf(a.fields[lf], b.fields[rf], index.q)
-            if s >= index.xi:
+            if s >= xi:
                 weights[lf][rf] = s
     best = oracle_max_weight(a.width, b.width, tuple(map(tuple, weights)))
     return best / min(a.width, b.width)
@@ -116,7 +116,8 @@ def test_criterion_3_oracle_equivalence(capsys):
     def body():
         counts = {}
 
-        # lookup_range vs a linear scan of the whole pair sequence
+        # a record pair's run, as cal_bound reads it, vs a linear scan of
+        # the whole pair sequence
         rng = random.Random(301)
         n = 0
         for _ in range(10):
@@ -126,12 +127,16 @@ def test_criterion_3_oracle_equivalence(capsys):
             everything = list(index.iter_pairs())
             for a, i in enumerate(rids):
                 for j in rids[a + 1 :]:
-                    scan = tuple(p for p in everything if (p.left.rid, p.right.rid) == (i, j))
-                    assert index.lookup_range(i, j) == scan
+                    scan = [
+                        (p.left.fid, p.right.fid, p.sim)
+                        for p in everything
+                        if (p.left.rid, p.right.rid) == (i, j)
+                    ]
+                    assert sorted(index.cal_bound(i, j).refined) == sorted(scan)
                     n += 1
         counts["lookup"] = n
 
-        # KM weight vs memoized enumeration
+        # weight of the KM matching vs memoized enumeration
         rng = random.Random(302)
         n = 0
         for _ in range(520):
@@ -146,7 +151,7 @@ def test_criterion_3_oracle_equivalence(capsys):
                         edges.append((x + 1, y + 1, s))
             if not edges:
                 continue
-            _, weight = km_max_weight(graph_of(edges))
+            weight = sum(s for _, _, s in km_max_weight(graph_of(edges)))
             assert weight == pytest.approx(oracle_max_weight(nl, nr, tuple(map(tuple, w))))
             n += 1
         counts["km"] = n
@@ -161,7 +166,7 @@ def test_criterion_3_oracle_equivalence(capsys):
             rids = sorted(store)
             for a, i in enumerate(rids):
                 for j in rids[a + 1 :]:
-                    sim = _exhaustive_record_sim(index, i, j)
+                    sim = _exhaustive_record_sim(index, i, j, XI)
                     bound = index.cal_bound(i, j)
                     assert bound.up >= sim - 1e-9
                     if not bound.has_multiple:

@@ -1,4 +1,6 @@
 import dataclasses
+import io
+import json
 import random
 
 import pytest
@@ -29,11 +31,27 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"delta": 0.0}, {"delta": 1.2}, {"xi": 0.0}, {"q": 0}, {"rho": 1.0}, {"prior": 0.5}],
+        [
+            {"delta": 0.0},
+            {"delta": 1.2},
+            {"delta": 1.5},
+            {"xi": 0.0},
+            {"xi": 1.5},
+            {"q": 0},
+            {"rho": 0.0},
+            {"rho": 1.0},
+            {"prior": 0.5},
+            {"prior": 1.1},
+        ],
     )
     def test_invalid_rejected(self, kwargs):
+        # the one range check of each threshold: the layers trust the config
         with pytest.raises(ValueError):
             EngineConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["delta", "xi", "prior"])
+    def test_inclusive_upper_edge_accepted(self, name):
+        assert getattr(EngineConfig(**{name: 1.0}), name) == 1.0
 
     def test_frozen(self):
         config = EngineConfig()
@@ -165,14 +183,29 @@ class TestPromotedMatchings:
         engine = ResolutionEngine(dict(store))
 
         def reference(index, i, j, partners, refined=()):
-            promoted = list(dict.fromkeys(p.as_pair() for p in engine.ledger.promoted()))
-            return reference_forced_pairs(index, i, j, promoted)
+            return reference_forced_pairs(index, i, j, engine.ledger.promoted_pairs())
 
         monkeypatch.setattr(matching, "resolve_forced_pairs", reference)
         slow = engine.run()
         assert slow.labels == result.labels
         assert slow.merge_history == result.merge_history
         assert slow.promoted == result.promoted
+
+    def test_promoted_is_the_exported_list(self):
+        # a pair promoted from both of its attributes is listed once, with
+        # its first promotion: the rows export_jsonl writes
+        engine = ResolutionEngine(lookalike_store(20, 0))
+        promoted = engine.run().promoted
+        pairs = [promo.as_pair() for promo in promoted]
+        assert promoted and len(set(pairs)) == len(pairs)
+        buf = io.StringIO()
+        engine.ledger.export_jsonl(buf)
+        assert [json.loads(line) for line in buf.getvalue().splitlines()] == [
+            {"source_a": promo.a.source, "attr_a": promo.a.attr,
+             "source_b": promo.b.source, "attr_b": promo.b.attr,
+             "votes": promo.votes, "p_error_upper": promo.p_error_upper}
+            for promo in promoted
+        ]
 
 
 class TestMergeInPlace:

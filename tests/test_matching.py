@@ -36,6 +36,11 @@ def oracle_max_weight(n_left: int, n_right: int, w) -> float:
     return go(0, 0)
 
 
+def weight(matching):
+    """Total similarity of a list of ``(lf, rf, sim)`` edges."""
+    return sum(s for _, _, s in matching)
+
+
 def graph_of(edges):
     left = tuple(sorted({lf for lf, _, _ in edges}))
     right = tuple(sorted({rf for _, rf, _ in edges}))
@@ -75,25 +80,24 @@ class TestKuhnMunkres:
     def test_cheap_pair_beats_greedy(self):
         # greedy takes (1, 2, 1.0) and is stuck with 0.5; optimum is 1.6
         edges = [(1, 1, 0.9), (1, 2, 1.0), (2, 2, 0.7), (2, 1, 0.5)]
-        matching, weight = km_max_weight(graph_of(edges))
+        matching = km_max_weight(graph_of(edges))
         assert matching == [(1, 1, 0.9), (2, 2, 0.7)]
-        assert weight == pytest.approx(1.6)
+        assert weight(matching) == pytest.approx(1.6)
 
     def test_unbalanced_sides(self):
         edges = [(1, 1, 0.8), (2, 1, 0.9), (3, 1, 0.7), (3, 2, 0.6)]
-        matching, weight = km_max_weight(graph_of(edges))
+        matching = km_max_weight(graph_of(edges))
         assert matching == [(2, 1, 0.9), (3, 2, 0.6)]
-        assert weight == pytest.approx(1.5)
+        assert weight(matching) == pytest.approx(1.5)
 
     def test_empty_graph(self):
-        matching, weight = km_max_weight(FieldMatchGraph((), (), ()))
-        assert matching == [] and weight == 0.0
+        assert km_max_weight(FieldMatchGraph((), (), ())) == []
 
     def test_matching_is_one_to_one(self):
         rng = random.Random(5)
         edges = [(lf, rf, rng.random()) for lf in range(1, 6) for rf in range(1, 6)
                  if rng.random() < 0.6]
-        matching, _ = km_max_weight(graph_of(edges))
+        matching = km_max_weight(graph_of(edges))
         assert len({lf for lf, _, _ in matching}) == len(matching)
         assert len({rf for _, rf, _ in matching}) == len(matching)
 
@@ -111,8 +115,7 @@ class TestKuhnMunkres:
                         edges.append((i + 1, j + 1, s))
             if not edges:
                 continue
-            _, weight = km_max_weight(graph_of(edges))
-            assert weight == pytest.approx(oracle_max_weight(nl, nr, tuple(map(tuple, w))))
+            assert weight(km_max_weight(graph_of(edges))) == pytest.approx(oracle_max_weight(nl, nr, tuple(map(tuple, w))))
 
     def test_decomposition_equals_whole_graph_km(self):
         # forced/mapped peeling must not change the achievable weight when
@@ -127,10 +130,9 @@ class TestKuhnMunkres:
                         refined.append((lf, rf, round(rng.uniform(0.05, 1.0), 3)))
             if not refined:
                 continue
-            _, whole = km_max_weight(graph_of(refined))
+            whole = weight(km_max_weight(graph_of(refined)))
             graph, mapped = build_graph(refined)
-            _, residual = km_max_weight(graph)
-            split = residual + sum(s for _, _, s in mapped)
+            split = weight(km_max_weight(graph)) + weight(mapped)
             assert split == pytest.approx(whole)
 
 

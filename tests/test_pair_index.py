@@ -98,10 +98,6 @@ def join_cases(draw):
 
 
 class TestConstruction:
-    def test_invalid_xi(self, customer_store):
-        with pytest.raises(ValueError):
-            ValuePairIndex(customer_store, 0.0)
-
     def test_sorted_invariant(self, customer_store):
         index = build_index(customer_store, XI)
         assert in_index_order(list(index.iter_pairs()))
@@ -207,7 +203,7 @@ class TestConstruction:
         joined = ResolutionEngine(store, config)
         oracle = ResolutionEngine(store, config)
         oracle.index = ValuePairIndex.from_pairs(
-            oracle.store, brute_force_pairs(store, config.xi, config.q), config.xi, config.q
+            oracle.store, brute_force_pairs(store, config.xi, config.q), q=config.q
         )
         assert list(joined.index.iter_pairs()) == list(oracle.index.iter_pairs())
         got, want = joined.run(), oracle.run()
@@ -222,19 +218,21 @@ class TestConstruction:
 
 
 class TestLookup:
+    """A record pair's run, as the program reads it: ``cal_bound(i, j).refined``."""
+
     def test_requires_ordered_ids(self, customer_store):
         index = build_index(customer_store, XI)
         with pytest.raises(ValueError):
-            index.lookup_range(6, 1)
+            index.cal_bound(6, 1)
 
     def test_missing_run_is_empty(self, customer_store):
         index = build_index(customer_store, XI)
-        assert index.lookup_range(5, 6) == ()
+        assert index.cal_bound(5, 6).refined == ()
 
     def test_run_content(self, customer_store):
         index = build_index(customer_store, XI)
-        run = index.lookup_range(4, 6)
-        assert [p.sim for p in run] == [1.0, 1.0, 0.9]
+        run = index.cal_bound(4, 6).refined
+        assert sorted((sim for _, _, sim in run), reverse=True) == [1.0, 1.0, 0.9]
 
     def test_matches_linear_scan(self):
         rng = random.Random(4)
@@ -243,10 +241,12 @@ class TestLookup:
         rids = sorted(store)
         for a, i in enumerate(rids):
             for j in rids[a + 1 :]:
-                scan = tuple(
-                    p for p in index.iter_pairs() if (p.left.rid, p.right.rid) == (i, j)
-                )
-                assert index.lookup_range(i, j) == scan
+                scan = [
+                    (p.left.fid, p.right.fid, p.sim)
+                    for p in index.iter_pairs()
+                    if (p.left.rid, p.right.rid) == (i, j)
+                ]
+                assert sorted(index.cal_bound(i, j).refined) == sorted(scan)
 
 
 def _six_field_store():
@@ -290,7 +290,7 @@ class TestCalBound:
             ((1, 4), (2, 3), 1.0),
             ((1, 5), (2, 5), 1.0),
         ]
-        index = ValuePairIndex.from_pairs(_six_field_store(), pairs, XI)
+        index = ValuePairIndex.from_pairs(_six_field_store(), pairs)
         bound = index.cal_bound(1, 2)
         assert bound.has_multiple
         assert bound.up == pytest.approx(3.37 / 6)
@@ -303,7 +303,7 @@ class TestCalBound:
             ((1, 3), (2, 2), 1.0),
             ((1, 3), (2, 2), 0.6),
         ]
-        index = ValuePairIndex.from_pairs(_six_field_store(), pairs, XI)
+        index = ValuePairIndex.from_pairs(_six_field_store(), pairs)
         assert index.cal_bound(1, 2).refined == ((3, 2, 1.0),)
 
     def test_exact_when_no_multiple(self, customer_store):
@@ -317,7 +317,7 @@ class TestCalBound:
             ((1, 1), (2, 1), 1.0),
             ((1, 2), (2, 1), 0.6),
         ]
-        index = ValuePairIndex.from_pairs(_six_field_store(), pairs, XI)
+        index = ValuePairIndex.from_pairs(_six_field_store(), pairs)
         bound = index.cal_bound(1, 2)
         assert bound.has_multiple
         assert bound.up == pytest.approx(1.6 / 6)
@@ -357,17 +357,11 @@ class TestCalBound:
                 bound = index.cal_bound(i, j)
                 assert len(set(bound.refined)) == len(bound.refined)
                 assert (bound.up, set(bound.refined), bound.has_multiple) == reference_cal_bound(
-                    index, i, j
+                    index, i, j, XI
                 )
 
 
 class TestGenerateCandidates:
-    def test_invalid_delta(self, customer_store):
-        index = build_index(customer_store, XI)
-        for delta in (0.0, 1.5):  # the range EngineConfig accepts, (0, 1]
-            with pytest.raises(ValueError):
-                index.generate_candidates(delta)
-
     def test_customer_partition(self, customer_store):
         index = build_index(customer_store, XI)
         candidates, direct = index.generate_candidates(0.5)
@@ -395,13 +389,13 @@ class TestGenerateCandidates:
             store = lookalike_store(n_records // 4 + 1, seed)
         index = build_index(store, XI)
         forest = EntityForest(store)
-        assert index.generate_candidates(delta) == reference_generate_candidates(index, delta)
+        assert index.generate_candidates(delta) == reference_generate_candidates(index, delta, XI)
         for _ in range(n_merges):
             if len(store) < 2:
                 break
             i, j = sorted(rng.sample(sorted(store), 2))
             _merge_and_update(store, index, i, j, forest, reference=True)
-            assert index.generate_candidates(delta) == reference_generate_candidates(index, delta)
+            assert index.generate_candidates(delta) == reference_generate_candidates(index, delta, XI)
 
     def test_held_record_still_reaches_verification(self, monkeypatch):
         # (1, 2) is direct and holds both records; record 3 holds the name
@@ -492,7 +486,7 @@ class TestApplyMerge:
             if len(store) < 2:
                 break
             i, j = sorted(rng.sample(sorted(store), 2))
-            kept = len(index) - len(index.lookup_range(i, j))
+            kept = len(index) - len(index.cal_bound(i, j).refined)
             k = _merge_and_update(store, index, i, j, forest).rid
             higher += k == j
             dropped += kept - len(index)

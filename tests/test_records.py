@@ -77,7 +77,7 @@ class TestForest:
         f = EntityForest(ids)
         for _ in range(80):
             f.union(rng.choice(ids), rng.choice(ids))
-        roots = f.roots()
+        roots = {f.find(i) for i in ids}
         for i in ids:
             assert f.find(f.find(i)) == f.find(i)
             assert f.find(i) in roots
@@ -122,7 +122,7 @@ class TestMerge:
         m16, _ = merge_super_records(r[1], r[6], [], forest)
         m24, _ = merge_super_records(r[2], r[4], [], forest)
         final, _ = merge_super_records(m16, m24, [], forest)
-        assert forest.roots() == {final.rid}
+        assert {forest.find(i) for i in (1, 2, 4, 6)} == {final.rid}
         assert final.rid in (m16.rid, m24.rid)
 
     def test_same_root_rejected(self):

@@ -32,10 +32,6 @@ class TestQGrams:
     def test_empty(self):
         assert qgrams("", 2) == frozenset()
 
-    def test_bad_q(self):
-        with pytest.raises(ValueError):
-            qgrams("abc", 0)
-
     @given(short_text, st.integers(min_value=1, max_value=4))
     def test_matches_oracle(self, s, q):
         assert set(qgrams(s, q)) == gram_oracle(s, q)
