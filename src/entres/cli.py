@@ -82,11 +82,12 @@ def _object(value: object, what: str, where: str) -> dict:
     return value
 
 
-def _text(value: object, what: str, where: str) -> str:
+def _text(value: object, what: str, where: str, *what_args: object) -> str:
     """A string as is, an integer as ``str()`` of it and a boolean as its
     JSON text ``true`` or ``false``; anything else has no text to compare
     and is rejected.  A float read from a file is already its JSON text
-    (see ``_DECODER``); one passed in directly is ``str()`` of it."""
+    (see ``_DECODER``); one passed in directly is ``str()`` of it.  The
+    rejection names ``what.format(*what_args)``, built only then."""
     if isinstance(value, str):
         return value
     if isinstance(value, bool):
@@ -97,7 +98,9 @@ def _text(value: object, what: str, where: str) -> str:
             else "an object" if isinstance(value, dict)
             else f"a {type(value).__name__}"
         )
-        raise InputError(f"{where}{what} {kind}; it must be a string, number or boolean")
+        raise InputError(
+            f"{where}{what.format(*what_args)} {kind}; it must be a string, number or boolean"
+        )
     return str(value)
 
 
@@ -144,7 +147,7 @@ def record_from_doc(doc: object, rid: int, lineno: int = 0) -> tuple[str, SuperR
             raise InputError(f"{where}field {attr!r} needs at least one value")
         normalized: list[str] = []
         for v in values:
-            nv = "" if v is None else normalize_value(_text(v, f"field {attr!r} holds", where))
+            nv = "" if v is None else normalize_value(_text(v, "field {!r} holds", where, attr))
             if nv and nv not in normalized:
                 normalized.append(nv)
         if normalized:

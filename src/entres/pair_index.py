@@ -21,12 +21,13 @@ so each entry is moved O(log n) times over a run.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
 from collections import Counter, defaultdict
 from types import MappingProxyType
-from typing import IO, Collection, Iterable, Iterator, Mapping, NamedTuple
+from typing import IO, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .records import SuperRecord
 from .similarity import DEFAULT_Q, gram_jaccard, qgrams
@@ -102,25 +103,35 @@ class ValuePairIndex:
         pairs, either side first (no join performed); a field pair given
         more than once keeps its best similarity."""
         index = cls(store, q)
-        index._append(pairs)
+        for left, right, sim in pairs:
+            if left[0] == right[0]:
+                raise ValueError("indexed pairs must span two records")
+            index._append((left,), (right,), sim)
         index._fold_runs(index._runs)
         return index
 
-    def _append(self, pairs: Iterable[tuple[tuple[int, int], tuple[int, int], float]]) -> None:
-        """Append each field pair to the run of its record pair, smaller
-        rid on the left; a field pair given twice is held twice until
+    def _append(
+        self, lefts: Sequence[tuple[int, int]], rights: Sequence[tuple[int, int]], sim: float
+    ) -> None:
+        """Append the field pair of each ``(rid, fid)`` label in ``lefts``
+        with each label in ``rights`` of another record, at ``sim``, to the
+        run of their record pair, smaller rid on the left; pairs within one
+        record are skipped.  A field pair given twice is held twice until
         :meth:`_fold_runs` folds its run."""
         runs = self._runs
-        for (ri, fi), (rj, fj), sim in pairs:
-            if ri == rj:
-                raise ValueError("indexed pairs must span two records")
-            if ri > rj:
-                ri, fi, rj, fj = rj, fj, ri, fi
-            run = runs.get(ri, _NO_RUNS).get(rj)
-            if run is None:
-                runs.setdefault(ri, {})[rj] = runs.setdefault(rj, {})[ri] = [(fi, fj, sim)]
-            else:
-                run.append((fi, fj, sim))
+        for ri, fi in lefts:
+            row = runs.get(ri, _NO_RUNS)
+            for rj, fj in rights:
+                if ri == rj:
+                    continue
+                entry = (fi, fj, sim) if ri < rj else (fj, fi, sim)
+                run = row.get(rj)
+                if run is not None:
+                    run.append(entry)
+                    continue
+                if row is _NO_RUNS:
+                    row = runs[ri] = {}
+                row[rj] = runs.setdefault(rj, {})[ri] = [entry]
 
     def _fold_runs(self, rids: Collection[int]) -> None:
         """Fold every run with an end in ``rids`` (see :func:`_fold`)."""
@@ -331,35 +342,43 @@ def build_index(store: RecordStore, xi: float, q: int = DEFAULT_Q) -> ValuePairI
     grouped by the gram sets of their values and only the distinct sets
     are joined (see :func:`_similar_gram_sets`).  Fields sharing a set
     pair at ``gram_jaccard(g, g)`` (1.0); each similar set pair expands to
-    all its cross-record field pairs.  A field pair is reached once per
-    pair of its values' gram sets, so only a field holding more than one
-    value can reach it twice: only the runs of records with such a field
-    are folded to the best value pair per field pair.
-    """
-    groups: dict[frozenset[str], list[tuple[int, int]]] = defaultdict(list)
-    multi_valued: set[int] = set()
-    for rid in sorted(store):
-        for fid, fld in enumerate(store[rid].fields, 1):
-            if len(fld.values) > 1:
-                multi_valued.add(rid)
-            for v in fld.values:
-                groups[qgrams(v, q)].append((rid, fid))
+    all its cross-record field pairs, appended straight into their runs.
+    A field pair is reached once per pair of its values' gram sets, so
+    only a field holding more than one value can reach it twice: only the
+    runs of records with such a field are folded to the best value pair
+    per field pair.
 
-    def pairs() -> Iterator[tuple[tuple[int, int], tuple[int, int], float]]:
+    The cyclic garbage collector is paused while the join runs and is
+    re-enabled afterwards only if it was enabled on entry, also when the
+    join raises.  The join allocates one tuple per field pair, a list per
+    run and dicts of rows, and none of them can form a reference cycle, so
+    a collection during the join could free nothing; yet each one walks
+    the young objects, and each full one the whole growing index.  The
+    pause is process-wide: other threads get no collection during it.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        groups: dict[frozenset[str], list[tuple[int, int]]] = defaultdict(list)
+        multi_valued: set[int] = set()
+        for rid in sorted(store):
+            for fid, fld in enumerate(store[rid].fields, 1):
+                if len(fld.values) > 1:
+                    multi_valued.add(rid)
+                for v in fld.values:
+                    groups[qgrams(v, q)].append((rid, fid))
+
+        index = ValuePairIndex(store, q)
         for g, labels in groups.items():
             if len(labels) > 1:
                 sim = gram_jaccard(g, g)
-                for left, right in itertools.combinations(labels, 2):
-                    if left[0] != right[0]:
-                        yield left, right, sim
+                for pos, label in enumerate(labels):
+                    index._append((label,), labels[pos + 1 :], sim)
         sets = list(groups)
         for a, b, sim in _similar_gram_sets(sets, xi):
-            for left in groups[sets[a]]:
-                for right in groups[sets[b]]:
-                    if left[0] != right[0]:
-                        yield left, right, sim
-
-    index = ValuePairIndex(store, q)
-    index._append(pairs())
-    index._fold_runs(multi_valued)
-    return index
+            index._append(groups[sets[a]], groups[sets[b]], sim)
+        index._fold_runs(multi_valued)
+        return index
+    finally:
+        if enabled:
+            gc.enable()

@@ -1,4 +1,5 @@
 import functools
+import gc
 import io
 import itertools
 import json
@@ -210,6 +211,11 @@ class TestConstruction:
         assert got.labels == want.labels
         assert got.merge_history == want.merge_history
 
+    def test_from_pairs_rejects_pair_within_one_record(self):
+        pairs = [((1, 1), (2, 1), 1.0), ((2, 3), (2, 4), 0.9)]
+        with pytest.raises(ValueError, match="span two records"):
+            ValuePairIndex.from_pairs(_six_field_store(), pairs)
+
     def test_empty_values_pair_at_one(self):
         a = basic_record(1, [(AttrOrigin("s1", "x"), "")])
         b = basic_record(2, [(AttrOrigin("s2", "x"), "")])
@@ -247,6 +253,52 @@ class TestLookup:
                     if (p.left.rid, p.right.rid) == (i, j)
                 ]
                 assert sorted(index.cal_bound(i, j).refined) == sorted(scan)
+
+
+class TestCollectorPause:
+    """``build_index`` pauses the cyclic collector and hands it back as it
+    found it."""
+
+    @staticmethod
+    def _raising(g1, g2):
+        raise RuntimeError("join failed")
+
+    @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_collector_state_restored(self, customer_store, monkeypatch, enabled, raises):
+        if raises:
+            monkeypatch.setattr(pair_index, "gram_jaccard", self._raising)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if raises:
+                with pytest.raises(RuntimeError, match="join failed"):
+                    build_index(customer_store, XI)
+            else:
+                build_index(customer_store, XI)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("kind", ["customers", "random_multi_valued"])
+    def test_build_leaves_no_cyclic_garbage(self, customer_store, kind):
+        # the premise of the pause: the join makes no reference cycle, so
+        # deferring the collector defers nothing it could free
+        if kind == "customers":
+            store = customer_store
+        else:
+            store = random_store(random.Random(9), 40, max_values=3)
+            assert any(len(fld.values) > 1 for rec in store.values() for fld in rec.fields)
+        was = gc.isenabled()
+        gc.collect()
+        gc.disable()  # no automatic collection may find the garbage first
+        try:
+            index = build_index(store, XI)
+            assert len(index) > 0
+            del index
+            assert gc.collect() == 0
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 def _six_field_store():
@@ -298,10 +350,12 @@ class TestCalBound:
                                       (4, 3, 1.0), (5, 5, 1.0)}
 
     def test_refinement_keeps_best_value_pair(self):
-        # one field pair given twice, as two of its value pairs would be
+        # one field pair given three times, as three of its value pairs
+        # would be, either side first and the best in between
         pairs = [
+            ((2, 2), (1, 3), 0.6),
             ((1, 3), (2, 2), 1.0),
-            ((1, 3), (2, 2), 0.6),
+            ((1, 3), (2, 2), 0.7),
         ]
         index = ValuePairIndex.from_pairs(_six_field_store(), pairs)
         assert index.cal_bound(1, 2).refined == ((3, 2, 1.0),)
