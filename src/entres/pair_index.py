@@ -5,8 +5,13 @@ under record merges.
 For every pair of fields of two different records whose most similar
 value pair reaches xi, the index holds that best similarity: exactly the
 refined field set the bound, the direct merges and the verification
-read.  It is kept as runs, one list of ``(fid of rid_1, fid of rid_2,
-sim)`` per record pair with ``rid_1 < rid_2``, in a symmetric run map:
+read.  It is kept as runs, one flat list ``[lf, rf, sim, lf, rf, sim,
+...]`` per record pair with ``rid_1 < rid_2``, where ``lf`` is a field id
+of rid_1 and ``rf`` one of rid_2: three slots per entry and no tuple, since
+field ids are small cached ints and each ``sim`` is the float the join
+made for its gram-set pair.  Only this module reads that layout; callers
+get triples from :meth:`ValuePairIndex.cal_bound` and
+:meth:`ValuePairIndex.iter_pairs`.  The runs sit in a symmetric run map:
 ``runs[a][b]`` and ``runs[b][a]`` are the same list, so a record's row
 holds all its runs.  A run holds one entry per field pair and is in no
 particular order; the inspection views sort it.
@@ -33,7 +38,8 @@ from .records import SuperRecord
 from .similarity import DEFAULT_Q, gram_jaccard, qgrams
 
 RecordStore = dict[int, SuperRecord]
-Run = list[tuple[int, int, float]]  # (left fid, right fid, best similarity)
+# flat: left fid, right fid, best similarity, then the next entry (see above)
+Run = list[float]
 _NO_RUNS: Mapping[int, Run] = MappingProxyType({})
 
 
@@ -62,23 +68,32 @@ class BoundResult(NamedTuple):
     has_multiple: bool
 
 
+def _triples(run: Run) -> Iterator[tuple[int, int, float]]:
+    """The entries of ``run`` as ``(lf, rf, sim)`` triples, in run order."""
+    it = iter(run)
+    return zip(it, it, it)
+
+
 def _has_multiple(run: Run) -> bool:
     """Whether a field on either side of ``run`` is covered by more than
     one of its entries: then the bound of the run is not exact."""
-    n = len(run)
-    return len({lf for lf, _, _ in run}) < n or len({rf for _, rf, _ in run}) < n
+    n = len(run) // 3
+    return len(set(run[0::3])) < n or len(set(run[1::3])) < n
 
 
 def _fold(run: Run) -> Run:
     """One entry per field pair, holding its best similarity, in order of
     first appearance.  A run without repeats is returned as it is."""
-    best: dict[tuple[int, int], float] = {}
-    for lf, rf, sim in run:
-        if sim > best.get((lf, rf), -1.0):
-            best[lf, rf] = sim
-    if len(best) == len(run):
-        return run
-    return [(lf, rf, sim) for (lf, rf), sim in best.items()]
+    at: dict[tuple[int, int], int] = {}  # field pair -> its slot in folded
+    folded: Run = []
+    for lf, rf, sim in _triples(run):
+        pos = at.get((lf, rf))
+        if pos is None:
+            at[lf, rf] = len(folded)
+            folded += lf, rf, sim
+        elif sim > folded[pos + 2]:
+            folded[pos + 2] = sim
+    return run if len(folded) == len(run) else folded
 
 
 class ValuePairIndex:
@@ -124,14 +139,12 @@ class ValuePairIndex:
             for rj, fj in rights:
                 if ri == rj:
                     continue
-                entry = (fi, fj, sim) if ri < rj else (fj, fi, sim)
                 run = row.get(rj)
-                if run is not None:
-                    run.append(entry)
-                    continue
-                if row is _NO_RUNS:
-                    row = runs[ri] = {}
-                row[rj] = runs.setdefault(rj, {})[ri] = [entry]
+                if run is None:
+                    if row is _NO_RUNS:
+                        row = runs[ri] = {}
+                    run = row[rj] = runs.setdefault(rj, {})[ri] = []
+                run += (fi, fj, sim) if ri < rj else (fj, fi, sim)
 
     def _fold_runs(self, rids: Collection[int]) -> None:
         """Fold every run with an end in ``rids`` (see :func:`_fold`)."""
@@ -145,7 +158,8 @@ class ValuePairIndex:
     # -- read operations --------------------------------------------------
 
     def __len__(self) -> int:
-        return sum(len(run) for row in self._runs.values() for run in row.values()) // 2
+        # each run sits in two rows and holds three slots per entry
+        return sum(len(run) for row in self._runs.values() for run in row.values()) // 6
 
     def _pairs(self) -> Iterator[tuple[int, int]]:
         """Every record pair with a run, ``(rid_1, rid_2)`` ascending."""
@@ -166,8 +180,12 @@ class ValuePairIndex:
         run = self._runs.get(i, _NO_RUNS).get(j)
         if not run:
             return BoundResult(0.0, (), False)
+        # from a list, whose length is known: CPython's tuple() over an
+        # iterator guesses ten slots and shrinks the tuple, and then each
+        # call counts one more young object towards a collection
+        refined = tuple([*_triples(run)])
         up_by_left: dict[int, float] = {}
-        for lf, _, sim in run:
+        for lf, _, sim in refined:
             if sim > up_by_left.get(lf, 0.0):
                 up_by_left[lf] = sim
         m = min(self.store[i].width, self.store[j].width)
@@ -176,7 +194,7 @@ class ValuePairIndex:
         # collisions can push the raw sum past m; the similarity itself
         # never exceeds 1, so clamp
         up = min(1.0, sum(sorted(up_by_left.values(), reverse=True)) / m)
-        return BoundResult(up, tuple(run), _has_multiple(run))
+        return BoundResult(up, refined, _has_multiple(run))
 
     def generate_candidates(
         self, delta: float
@@ -226,7 +244,8 @@ class ValuePairIndex:
         each field id of the other, absorbed record to its id in ``k``.
         The run between the two records is deleted and every run of ``k``
         keeps its entries.  The absorbed record's row is popped and each of
-        its runs moves onto ``k``: its absorbed side is mapped, and where
+        its runs moves onto ``k`` in place: the absorbed field ids are
+        mapped and put on ``k``'s side of the record pair, and where
         ``k`` already has a run with the same other record, the two are
         folded to the best entry per field pair (a matched field's
         similarity is the maximum over its two parts).
@@ -240,19 +259,19 @@ class ValuePairIndex:
             if x == k:
                 continue  # the run between the two records goes
             side = 0 if gone < x else 1  # the absorbed side of each entry
-            if k < x:
-                moved = [(field_map[e[side]], e[1 - side], e[2]) for e in run]
-            else:
-                moved = [(e[1 - side], field_map[e[side]], e[2]) for e in run]
+            to = 0 if k < x else 1  # the side k takes
+            mapped = [field_map[fid] for fid in run[side::3]]
+            run[1 - to :: 3] = run[1 - side :: 3]
+            run[to::3] = mapped
             kept = runs[x].get(k)
             # field_map is one-to-one, so moved entries collide only with kept ones
-            runs[x][k] = runs.setdefault(k, {})[x] = _fold(kept + moved) if kept else moved
+            runs[x][k] = runs.setdefault(k, {})[x] = _fold(kept + run) if kept else run
 
     # -- inspection -------------------------------------------------------
 
     def _labelled(self, i: int, j: int) -> Iterator[IndexedPair]:
         run = self._runs.get(i, _NO_RUNS).get(j, ())
-        for lf, rf, sim in sorted(run, key=lambda e: (-e[2], e[0], e[1])):
+        for lf, rf, sim in sorted(_triples(run), key=lambda e: (-e[2], e[0], e[1])):
             yield IndexedPair(FieldLabel(i, lf), FieldLabel(j, rf), sim)
 
     def iter_pairs(self) -> Iterator[IndexedPair]:
@@ -350,11 +369,12 @@ def build_index(store: RecordStore, xi: float, q: int = DEFAULT_Q) -> ValuePairI
 
     The cyclic garbage collector is paused while the join runs and is
     re-enabled afterwards only if it was enabled on entry, also when the
-    join raises.  The join allocates one tuple per field pair, a list per
-    run and dicts of rows, and none of them can form a reference cycle, so
-    a collection during the join could free nothing; yet each one walks
-    the young objects, and each full one the whole growing index.  The
-    pause is process-wide: other threads get no collection during it.
+    join raises.  The join allocates a flat list per run (no object per
+    field pair) and dicts of rows, and none of them can form a reference
+    cycle, so a collection during the join could free nothing; yet each
+    one walks the young objects, and each full one the whole growing
+    index.  The pause is process-wide: other threads get no collection
+    during it.
     """
     enabled = gc.isenabled()
     gc.disable()

@@ -41,6 +41,9 @@ class Field:
             raise ValueError("a field must hold at least one value")
         if len(set(self.values)) != len(self.values):
             raise ValueError("duplicate values within a field")
+        if "" in self.values:
+            # an empty value has no grams, so any two would match at 1.0
+            raise ValueError("a field value must not be empty")
         self.origins = frozenset(self.origins)
 
 

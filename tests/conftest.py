@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from entres.cli import parse_input
-from entres.pair_index import FieldLabel, RecordStore, ValuePairIndex
+from entres.pair_index import FieldLabel, RecordStore, ValuePairIndex, _triples
 from entres.records import (
     AttrOrigin,
     EntityForest,
@@ -19,6 +19,8 @@ from entres.similarity import FieldMatchingSet, simf
 DATA_DIR = Path(__file__).resolve().parent.parent / "demos" / "data"
 CUSTOMERS = DATA_DIR / "customers.jsonl"
 CUSTOMERS_GOLD = DATA_DIR / "customers_gold.jsonl"
+# `entres --dump-index` on CUSTOMERS at the defaults, as committed
+CUSTOMERS_INDEX = DATA_DIR / "customers_index.jsonl"
 
 
 @pytest.fixture
@@ -244,7 +246,9 @@ def reference_apply_merge(index: ValuePairIndex, i: int, j: int, k: int, field_m
     method itself with the map of :func:`reference_merge_super_records`:
     pop every run of both records, relabel both ends of every pair
     (labels missing from ``field_map`` stay), re-orient it, and rebuild
-    each run from the best similarity per field pair."""
+    each run from the best similarity per field pair.  Runs are read as
+    triples with ``_triples`` and written with ``_append``, so the run
+    layout stays the index's own."""
     runs = index._runs
     best: dict[tuple[FieldLabel, FieldLabel], float] = {}
     for rid in (i, j):
@@ -253,13 +257,11 @@ def reference_apply_merge(index: ValuePairIndex, i: int, j: int, k: int, field_m
                 continue  # the run between the two records goes
             del runs[x][rid]
             lo, hi = sorted((rid, x))
-            for lf, rf, sim in run:
+            for lf, rf, sim in _triples(run):
                 ends = [FieldLabel(lo, lf), FieldLabel(hi, rf)]
                 left, right = sorted(
                     FieldLabel(k, field_map[end]) if end in field_map else end for end in ends
                 )
                 best[left, right] = max(sim, best.get((left, right), 0.0))
     for (left, right), sim in sorted(best.items()):
-        run = runs.setdefault(left.rid, {}).setdefault(right.rid, [])
-        runs.setdefault(right.rid, {})[left.rid] = run
-        run.append((left.fid, right.fid, sim))
+        index._append((left,), (right,), sim)

@@ -19,7 +19,7 @@ from entres.engine import run
 from entres.pair_index import build_index
 from entres.records import AttrOrigin
 from entres.schema_vote import SchemaVoteLedger
-from tests.conftest import CUSTOMERS, CUSTOMERS_GOLD, lookalike_store
+from tests.conftest import CUSTOMERS, CUSTOMERS_GOLD, CUSTOMERS_INDEX, lookalike_store
 
 # four unrelated people whose only shared "values" are blank or null phones
 BLANK_AND_NULL = Path(__file__).resolve().parent / "data" / "blank_and_null.jsonl"
@@ -373,6 +373,8 @@ class TestMain:
         assert rows
         assert [r["pid"] for r in rows] == list(range(1, len(rows) + 1))
         assert all(r["sim"] >= 0.5 for r in rows)
+        # a change to how the index is kept must not change what it holds
+        assert dump.read_text() == CUSTOMERS_INDEX.read_text()
 
     def test_emit_matchings_file_written(self, tmp_path, capsys):
         m = tmp_path / "matchings.jsonl"

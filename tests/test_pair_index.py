@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import string
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,8 +74,8 @@ XI_RATIOS = {1 / 3: (1, 3), 0.5: (1, 2), 0.6: (3, 5), 2 / 3: (2, 3), 0.7: (7, 10
 
 @st.composite
 def join_cases(draw):
-    """Small stores full of empty values, values shorter than q and values
-    repeated within and across records, plus two values whose gram sets
+    """Small stores full of values shorter than q and values repeated
+    within and across records, plus two values whose gram sets
     score exactly xi: prefixes of a run of distinct letters, holding
     k*num and k*den grams, the first set inside the second."""
     q = draw(st.integers(1, 3))
@@ -83,8 +84,8 @@ def join_cases(draw):
     k = draw(st.integers(1, 2))
     letters = string.ascii_letters
     on_xi = [letters[: k * num + q - 1], letters[: k * den + q - 1]]
-    vocab = on_xi + ["", "a", "b", "ab", "ba", "aab", "abab", "bab", "abc"]
-    value = st.one_of(st.sampled_from(vocab), st.text("abc", max_size=5))
+    vocab = on_xi + ["a", "b", "ab", "ba", "aab", "abab", "bab", "abc"]
+    value = st.one_of(st.sampled_from(vocab), st.text("abc", min_size=1, max_size=5))
     field_values = st.lists(value, min_size=1, max_size=3, unique=True)
     records = draw(st.lists(st.lists(field_values, min_size=1, max_size=3), min_size=2, max_size=7))
     store = {
@@ -127,6 +128,24 @@ class TestConstruction:
         multi = SuperRecord(multi_rid, [Field(values, {AttrOrigin("s2", "name")})])
         index = build_index({single.rid: single, multi.rid: multi}, XI)
         assert list(index.iter_pairs()) == [(FieldLabel(1, 1), FieldLabel(2, 1), best)]
+
+    def test_entries_take_few_bytes(self):
+        # a run holds three list slots per entry and no tuple: about 64
+        # bytes per entry once lists, rows and dicts are counted, where a
+        # tuple per entry kept about 109
+        store, _ = clustered_corpus(4, 50, seed=0)
+        gc.collect()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            index = build_index(store, XI)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert kept / len(index) < 80
 
     def test_xi_cutoff(self, customer_store):
         index = build_index(customer_store, XI)
@@ -216,11 +235,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="span two records"):
             ValuePairIndex.from_pairs(_six_field_store(), pairs)
 
-    def test_empty_values_pair_at_one(self):
-        a = basic_record(1, [(AttrOrigin("s1", "x"), "")])
-        b = basic_record(2, [(AttrOrigin("s2", "x"), "")])
-        index = build_index({1: a, 2: b}, XI)
-        assert [p.sim for p in index.iter_pairs()] == [1.0]
+    def test_empty_value_rejected(self):
+        # two blank fields would otherwise pair at gram_jaccard(∅, ∅) = 1.0
+        with pytest.raises(ValueError, match="must not be empty"):
+            basic_record(1, [(AttrOrigin("s1", "name"), "alice smith"), (AttrOrigin("s1", "x"), "")])
 
 
 class TestLookup:

@@ -174,3 +174,7 @@ class TestFieldInvariants:
     def test_duplicate_values_rejected(self):
         with pytest.raises(ValueError):
             Field(values=["x", "x"])
+
+    def test_empty_value_rejected(self):
+        with pytest.raises(ValueError, match="must not be empty"):
+            Field(values=["x", ""])
