@@ -1,19 +1,18 @@
-"""Synthetic corpora: throughput, and why iterating beats a single pass.
+"""Why iterating beats a single pass, on a synthetic corpus.
 
-Part 1 times a full run over 2,000 near-duplicate records.  Part 2 builds
-a corpus where each entity is split across disjoint attribute subsets
-with a bridging record; a single pairwise pass tops out at F1 = 0.8
-because the two disjoint records share nothing, while iterative merging
-recovers the full cluster through the bridge.  Run with:
+Each entity is split across disjoint attribute subsets with a bridging
+record; a single pairwise pass tops out at F1 = 0.8 because the two
+disjoint records share nothing, while iterative merging recovers the
+full cluster through the bridge.  Throughput is measured by
+``bench/run.py``, not here.  Run with:
 
     python demos/synthetic_benchmark.py
 """
 
 import itertools
-import time
 
-from entres import EngineConfig, build_index, evaluate, run, verify_pair
-from entres.synth import clustered_corpus, split_attribute_corpus
+from entres import EngineConfig, build_index, run, verify_pair
+from entres.synth import split_attribute_corpus
 
 
 def pairwise_f1(emitted: set, gold_pairs: set) -> float:
@@ -25,16 +24,6 @@ def pairwise_f1(emitted: set, gold_pairs: set) -> float:
 
 
 def main() -> None:
-    print("== throughput: 250 entities x 8 near-duplicate records ==")
-    store, gold = clustered_corpus(n_entities=250, records_per_entity=8)
-    start = time.perf_counter()
-    result = run(store, EngineConfig(delta=0.5, xi=0.5))
-    elapsed = time.perf_counter() - start
-    report = evaluate(result.labels, gold)
-    print(f"  {len(store)} records -> {len(result.entities)} entities "
-          f"in {elapsed:.2f} s ({result.iterations} iterations, {result.merges} merges)")
-    print(f"  pairwise F1 = {report.f1:.3f}\n")
-
     print("== description difference: split attributes with a bridge record ==")
     store, gold = split_attribute_corpus()
     gold_pairs = {frozenset((a, b))

@@ -15,8 +15,9 @@ import argparse
 import json
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass
-from typing import IO, Hashable, Iterator, Mapping
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, fields
+from typing import Hashable, Iterator, Mapping
 
 from .engine import EngineConfig, ResolutionEngine
 from .pair_index import RecordStore
@@ -24,7 +25,7 @@ from .records import AttrOrigin, Field, SuperRecord, normalize_value
 
 
 class InputError(ValueError):
-    """Malformed input file; message carries the offending line number."""
+    """A malformed input file (the message names the line), or gold naming unlabeled records."""
 
 
 @dataclass
@@ -186,13 +187,13 @@ def evaluate(
     """Pairwise precision/recall/F1 of ``labels`` against ``gold``.
 
     Pairs are unordered same-entity record pairs, counted over the gold
-    records (which must all be labeled).
+    records, which must all be labeled (else an :class:`InputError`).
     """
     if not gold:
-        raise ValueError("empty ground truth")
+        raise InputError("empty ground truth")
     missing = [k for k in gold if k not in labels]
     if missing:
-        raise ValueError(f"gold records without labels: {missing[:5]}")
+        raise InputError(f"gold records without labels: {missing[:5]}")
     emitted = _pair_count(Counter(labels[k] for k in gold))
     gold_pairs = _pair_count(Counter(gold.values()))
     tp = _pair_count(Counter((labels[k], g) for k, g in gold.items()))
@@ -236,12 +237,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Resolve heterogeneous records to entities and emit labels.",
     )
     parser.add_argument("--input", required=True, help="JSON-lines record file")
-    defaults = EngineConfig()
-    parser.add_argument("--delta", type=float, default=defaults.delta, help="record similarity threshold")
-    parser.add_argument("--xi", type=float, default=defaults.xi, help="value similarity threshold")
-    parser.add_argument("--q", type=int, default=defaults.q, help="gram length")
-    parser.add_argument("--rho", type=float, default=defaults.rho, help="vote error-probability threshold")
-    parser.add_argument("--prior", type=float, default=defaults.prior, help="prediction correctness prior")
+    for f in fields(EngineConfig):
+        parser.add_argument(f"--{f.name}", type=type(f.default), default=f.default, help=f.metadata["help"])
     parser.add_argument("--ground-truth", default=None, help="gold labels (same format as output)")
     parser.add_argument("--emit-matchings", default=None, help="write promoted schema matchings here")
     parser.add_argument("--dump-index", default=None, help="write the freshly built index here")
@@ -249,53 +246,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config(args: argparse.Namespace) -> EngineConfig:
+    """The run config the parsed flags name, one flag per config field."""
+    return EngineConfig(**{f.name: getattr(args, f.name) for f in fields(EngineConfig)})
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Read every input, then resolve and write.  A file error, or gold
+    naming records the input lacks, ends the run with one ``entres: ...``
+    line on stderr and exit status 1."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = EngineConfig(delta=args.delta, xi=args.xi, q=args.q, rho=args.rho, prior=args.prior)
+        config = _config(args)
     except ValueError as exc:
         parser.error(str(exc))
-
     try:
         parsed = parse_input(args.input)
-    except (OSError, InputError) as exc:
+        gold = load_labels(args.ground_truth) if args.ground_truth else None
+        engine = ResolutionEngine(parsed.store, config)
+        if args.dump_index:
+            with open(args.dump_index, "w", encoding="utf-8") as fp:
+                engine.index.dump_jsonl(fp)
+        result = engine.run()
+        labels = {parsed.ids[rid]: parsed.ids[root] for rid, root in result.labels.items()}
+        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fp:
+            fp.writelines(json.dumps({"id": k, "entity": v}) + "\n" for k, v in labels.items())
+        if args.emit_matchings:
+            with open(args.emit_matchings, "w", encoding="utf-8") as fp:
+                engine.ledger.export_jsonl(fp)
+        if gold is not None:
+            print(json.dumps(asdict(evaluate(labels, gold))), file=sys.stdout if args.out else sys.stderr)
+    except (OSError, InputError) as exc:  # resolution raises neither
         print(f"entres: {exc}", file=sys.stderr)
         return 1
-
-    engine = ResolutionEngine(parsed.store, config)
-    if args.dump_index:
-        with open(args.dump_index, "w", encoding="utf-8") as fp:
-            engine.index.dump_jsonl(fp)
-
-    result = engine.run()
-
-    def write_labels(fp: IO[str]) -> None:
-        for rid in sorted(parsed.ids):
-            entity = parsed.ids[result.labels[rid]]
-            fp.write(json.dumps({"id": parsed.ids[rid], "entity": entity}) + "\n")
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fp:
-            write_labels(fp)
-    else:
-        write_labels(sys.stdout)
-
-    if args.emit_matchings:
-        with open(args.emit_matchings, "w", encoding="utf-8") as fp:
-            engine.ledger.export_jsonl(fp)
-
-    if args.ground_truth:
-        try:
-            gold = load_labels(args.ground_truth)
-            labels = {parsed.ids[rid]: parsed.ids[root] for rid, root in result.labels.items()}
-            report = evaluate(labels, gold)
-        except (OSError, InputError, ValueError) as exc:
-            print(f"entres: {exc}", file=sys.stderr)
-            return 1
-        report_fp = sys.stdout if args.out else sys.stderr
-        json.dump(asdict(report), report_fp)
-        report_fp.write("\n")
     return 0
 
 

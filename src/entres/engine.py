@@ -14,7 +14,7 @@ roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from .matching import verify_pair
 from .pair_index import RecordStore, ValuePairIndex, build_index
@@ -26,15 +26,20 @@ from .similarity import DEFAULT_Q, FieldMatchingSet
 @dataclass(frozen=True)
 class EngineConfig:
     """Run thresholds, checked when built: an invalid config cannot exist.
-    This is the one range check of each; the layers trust their values."""
+    This is the one type and range check of each; the layers trust their
+    values.  The CLI makes a flag of each field, typed by its default."""
 
-    delta: float = 0.5  # record similarity threshold
-    xi: float = 0.5  # value similarity threshold
-    q: int = DEFAULT_Q
-    rho: float = 0.6  # vote error-probability threshold
-    prior: float = 0.8  # per-prediction correctness prior
+    delta: float = field(default=0.5, metadata={"help": "record similarity threshold"})
+    xi: float = field(default=0.5, metadata={"help": "value similarity threshold"})
+    q: int = field(default=DEFAULT_Q, metadata={"help": "gram length"})
+    rho: float = field(default=0.6, metadata={"help": "vote error-probability threshold"})
+    prior: float = field(default=0.8, metadata={"help": "per-prediction correctness prior"})
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # q takes an int, a threshold an int or a float, none a bool
+            value, integer = getattr(self, f.name), isinstance(f.default, int)
+            if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+                raise ValueError(f"{f.name} must be {'an integer' if integer else 'a number'}, not {value!r}")
         if not (0.0 < self.delta <= 1.0):
             raise ValueError("delta must lie in (0, 1]")
         if not (0.0 < self.xi <= 1.0):
@@ -80,6 +85,9 @@ class ResolutionEngine:
         self.config = config or EngineConfig()
         if not records:
             raise ValueError("no records to resolve")
+        for key, rec in records.items():
+            if key != rec.rid:
+                raise ValueError(f"record stored under key {key!r} has rid {rec.rid!r}")
         self.store: RecordStore = dict(records)
         self.forest = EntityForest(self.store)
         self.ledger = SchemaVoteLedger(p=self.config.prior, rho=self.config.rho)

@@ -67,7 +67,7 @@ class SchemaVoteLedger:
     :class:`~entres.engine.EngineConfig`.
     """
 
-    def __init__(self, p: float = 0.8, rho: float = 0.6) -> None:
+    def __init__(self, p: float, rho: float) -> None:
         self.p = p
         self.rho = rho
         self._votes: dict[tuple[AttrOrigin, str], dict[AttrOrigin, int]] = {}

@@ -18,40 +18,40 @@ import string
 from .pair_index import RecordStore
 from .records import AttrOrigin, basic_record
 
+POOL_SIZE = 7
+FIELDS_PER_RECORD = 6
+TYPO_RATE = 0.1
+
 
 def _token(rng: random.Random, length: int = 8) -> str:
     return "".join(rng.choice(string.ascii_lowercase) for _ in range(length))
 
 
 def clustered_corpus(
-    n_entities: int = 250,
-    records_per_entity: int = 8,
-    pool_size: int = 7,
-    fields_per_record: int = 6,
-    typo_rate: float = 0.1,
-    seed: int = 7,
+    n_entities: int = 250, records_per_entity: int = 8, seed: int = 7
 ) -> tuple[RecordStore, dict[int, int]]:
     """Entities of near-duplicate records drawn from a per-entity value pool.
 
-    Each record takes a rotating window of the pool, so any two records of
-    one entity share most values.  Returns (store, gold) with gold mapping
-    rid -> entity number.
+    Each record takes a rotating window of FIELDS_PER_RECORD of its
+    entity's POOL_SIZE values, each of which loses its last char at
+    TYPO_RATE, so any two records of one entity share most values.
+    Returns (store, gold) with gold mapping rid -> entity number.
     """
     rng = random.Random(seed)
     store: RecordStore = {}
     gold: dict[int, int] = {}
     rid = 0
-    attrs = [f"a{slot}" for slot in range(pool_size)]
+    attrs = [f"a{slot}" for slot in range(POOL_SIZE)]
     for ent in range(n_entities):
-        pool = [_token(rng) for _ in range(pool_size)]
+        pool = [_token(rng) for _ in range(POOL_SIZE)]
         for r in range(records_per_entity):
             rid += 1
             source = f"s{r % 3}"
             items = []
-            for offset in range(fields_per_record):
-                slot = (r + offset) % pool_size
+            for offset in range(FIELDS_PER_RECORD):
+                slot = (r + offset) % POOL_SIZE
                 value = pool[slot]
-                if rng.random() < typo_rate:
+                if rng.random() < TYPO_RATE:
                     value = value[:-1]  # drop last char: high but non-unit similarity
                 items.append((AttrOrigin(source=source, attr=attrs[slot]), value))
             store[rid] = basic_record(rid, items)

@@ -10,12 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from entres.cli import (
     InputError,
+    _build_parser,
+    _config,
     evaluate,
     load_labels,
     main,
     parse_input,
 )
-from entres.engine import run
+from entres.engine import EngineConfig, ResolutionEngine, run
 from entres.pair_index import build_index
 from entres.records import AttrOrigin
 from entres.schema_vote import SchemaVoteLedger
@@ -432,6 +434,59 @@ class TestMain:
                      "--ground-truth", str(gold)])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"entres: line {n_lines + 1}: not valid UTF-8 (")
+
+    def test_flags_alone_give_the_default_config(self):
+        assert _config(_build_parser().parse_args(["--input", "x"])) == EngineConfig()
+
+    def test_one_flag_per_threshold_with_its_type_and_default(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        help_text = capsys.readouterr().out
+        for flag in ("--delta", "--xi", "--q", "--rho", "--prior"):
+            assert f"{flag} " in help_text
+        parser = _build_parser()
+        actions = {a.dest: (a.type, a.default) for a in parser._actions}
+        assert {k: actions[k] for k in ("delta", "xi", "q", "rho", "prior")} == {
+            "delta": (float, 0.5), "xi": (float, 0.5), "q": (int, 2),
+            "rho": (float, 0.6), "prior": (float, 0.8),
+        }
+        args = parser.parse_args(["--input", "x", "--delta", "0.7", "--q", "3", "--prior", "0.9"])
+        assert _config(args) == EngineConfig(delta=0.7, q=3, prior=0.9)
+
+    @pytest.mark.parametrize("flag", ["--out", "--dump-index", "--emit-matchings"])
+    def test_unwritable_output_fails_cleanly(self, tmp_path, capsys, flag):
+        assert main(["--input", str(CUSTOMERS), flag, str(tmp_path / "missing" / "x.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("entres: [Errno 2] ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("gold_text", [None, '{"id": "r1"}\n', "{oops\n"],
+                             ids=["missing", "no-entity", "bad-json"])
+    def test_bad_ground_truth_fails_before_resolving(self, tmp_path, capsys, monkeypatch, gold_text):
+        gold, out = tmp_path / "gold.jsonl", tmp_path / "labels.jsonl"
+        if gold_text is not None:
+            gold.write_text(gold_text)
+        monkeypatch.setattr(ResolutionEngine, "run", lambda self: pytest.fail("resolved"))
+        for labels_to in ([], ["--out", str(out)]):
+            assert main(["--input", str(CUSTOMERS), "--ground-truth", str(gold), *labels_to]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            assert captured.err.startswith("entres: ") and captured.err.count("\n") == 1
+
+    def test_gold_naming_unknown_records_fails_cleanly(self, tmp_path, capsys):
+        gold = tmp_path / "gold.jsonl"
+        write_jsonl(gold, [{"id": "r1", "entity": "e"}, {"id": "zz", "entity": "e"}])
+        assert main(["--input", str(CUSTOMERS), "--out", str(tmp_path / "l.jsonl"),
+                     "--ground-truth", str(gold)]) == 1
+        assert capsys.readouterr().err == "entres: gold records without labels: ['zz']\n"
+
+    def test_value_error_while_resolving_propagates(self, monkeypatch):
+        # a bug, not an input error: it keeps its traceback
+        def broken(self):
+            raise ValueError("resolver bug")
+
+        monkeypatch.setattr(ResolutionEngine, "run", broken)
+        with pytest.raises(ValueError, match="resolver bug"):
+            main(["--input", str(CUSTOMERS)])
 
     def test_bad_delta_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

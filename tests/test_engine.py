@@ -42,16 +42,28 @@ class TestConfig:
             {"rho": 1.0},
             {"prior": 0.5},
             {"prior": 1.1},
+            # the one type check too: q is an int, no value is a bool
+            {"q": 2.0},
+            {"q": "2"},
+            {"q": True},
+            {"delta": True},
+            {"xi": True},
+            {"prior": True},
+            {"delta": "0.5"},
+            {"rho": None},
         ],
     )
     def test_invalid_rejected(self, kwargs):
-        # the one range check of each threshold: the layers trust the config
+        # the one type and range check of each threshold: the layers trust the config
         with pytest.raises(ValueError):
             EngineConfig(**kwargs)
 
     @pytest.mark.parametrize("name", ["delta", "xi", "prior"])
     def test_inclusive_upper_edge_accepted(self, name):
         assert getattr(EngineConfig(**{name: 1.0}), name) == 1.0
+
+    def test_int_threshold_accepted(self):
+        assert EngineConfig(delta=1, xi=1).delta == 1
 
     def test_frozen(self):
         config = EngineConfig()
@@ -100,6 +112,13 @@ class TestEdgeCases:
     def test_empty_store_rejected(self):
         with pytest.raises(ValueError):
             ResolutionEngine({})
+
+    def test_key_other_than_rid_rejected(self):
+        # similar records, so a run would reach the union-find with rid 1
+        items = [(AttrOrigin("s1", "name"), "bush"), (AttrOrigin("s1", "city"), "chicago")]
+        store = {5: basic_record(1, items), 2: basic_record(2, items)}
+        with pytest.raises(ValueError, match="key 5 has rid 1"):
+            run(store)
 
     def test_duplicate_records_collapse_to_one_entity(self):
         items = [

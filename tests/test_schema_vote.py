@@ -40,12 +40,12 @@ class TestErrorBound:
 
 class TestLedger:
     def test_same_source_prediction_rejected(self):
-        ledger = SchemaVoteLedger()
+        ledger = SchemaVoteLedger(p=0.8, rho=0.6)
         with pytest.raises(ValueError):
             ledger.record_prediction(A_NAME, AttrOrigin("CustomerII", "city"))
 
     def test_votes_tally_symmetrically(self):
-        ledger = SchemaVoteLedger()
+        ledger = SchemaVoteLedger(p=0.8, rho=0.6)
         ledger.record_prediction(A_NAME, B_NAME)
         ledger.record_prediction(A_NAME, B_NAME)
         assert ledger.votes_for(A_NAME, "CustomerIII") == {B_NAME: 2}
@@ -107,7 +107,7 @@ class TestLedger:
 
     def test_promote_without_votes_raises(self):
         with pytest.raises(ValueError):
-            SchemaVoteLedger().try_promote(A_NAME, "CustomerIII")
+            SchemaVoteLedger(p=0.8, rho=0.6).try_promote(A_NAME, "CustomerIII")
 
     def test_promoted_pairs_deduplicate_directions(self):
         ledger = SchemaVoteLedger(p=0.8, rho=0.6)
