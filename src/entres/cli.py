@@ -146,13 +146,13 @@ def record_from_doc(doc: object, rid: int, lineno: int = 0) -> tuple[str, SuperR
         seen_attrs.add(attr_key)
         if not isinstance(values, list) or not values:
             raise InputError(f"{where}field {attr!r} needs at least one value")
-        normalized: list[str] = []
+        normalized: dict[str, None] = {}  # drops repeats in linear time, in first-seen order
         for v in values:
             nv = "" if v is None else normalize_value(_text(v, "field {!r} holds", where, attr))
-            if nv and nv not in normalized:
-                normalized.append(nv)
+            if nv:
+                normalized[nv] = None
         if normalized:
-            items.append((AttrOrigin(source=source, attr=attr), normalized))
+            items.append((AttrOrigin(source=source, attr=attr), list(normalized)))
     if not items:
         raise InputError(f"{where}record has no value left after dropping blank and null ones")
     rec = SuperRecord(rid, [Field(values=vals, origins=frozenset([origin])) for origin, vals in items])

@@ -4,16 +4,14 @@ The refined field set of a record pair forms a weighted bipartite graph
 over field indices.  Promoted schema matchings are honored first, as
 forced edges: a field pair is forced when the two fields carry the two
 attributes of a promotion, which is read off the ledger's partner map
-(``AttrOrigin -> set of promoted counterparts``) by lookup.  Of what is
-left, degree-1/degree-1 edges are settled without search (mapped edges),
-and the residual conflict graph goes through a Kuhn-Munkres
-maximum-weight assignment.  The union of the three edge sets is the
-field matching.
+(``AttrOrigin -> set of promoted counterparts``) by lookup.  Every edge
+that touches no forced field goes through one Kuhn-Munkres
+maximum-weight assignment.  The union of the two edge sets is the field
+matching.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import AbstractSet, Collection, Iterable, Mapping
@@ -51,28 +49,21 @@ class VerifyResult:
 def build_graph(
     refined: Iterable[tuple[int, int, float]],
     forced: Collection[tuple[int, int]] = (),
-) -> tuple[FieldMatchGraph, list[tuple[int, int, float]]]:
-    """Build the field-pair graph and peel off decided edges.
+) -> FieldMatchGraph:
+    """The graph of the refined edges that touch no forced field.
 
-    Forced pairs are extracted first (their fields leave the graph along
-    with every edge touching them).  Then every edge whose two endpoints
-    both have degree one becomes a mapped edge and its endpoints are
-    deleted.  Returns the residual graph and the mapped edges.  Forced
-    pairs that share a field are not caught here: the
+    A forced pair takes its two fields out of the graph along with every
+    edge touching them; what is left is laid out for :func:`km_max_weight`.
+    Forced pairs that share a field are not caught here: the
     :class:`~entres.similarity.FieldMatchingSet` built from the result
     rejects them.
     """
     blocked_left = {lf for lf, _ in forced}
     blocked_right = {rf for _, rf in forced}
     edges = [e for e in refined if e[0] not in blocked_left and e[1] not in blocked_right]
-    ldeg = Counter(lf for lf, _, _ in edges)
-    rdeg = Counter(rf for _, rf, _ in edges)
-    mapped = [e for e in edges if ldeg[e[0]] == 1 and rdeg[e[1]] == 1]
-    residual = [e for e in edges if not (ldeg[e[0]] == 1 and rdeg[e[1]] == 1)]
-    left = tuple(sorted({lf for lf, _, _ in residual}))
-    right = tuple(sorted({rf for _, rf, _ in residual}))
-    graph = FieldMatchGraph(left=left, right=right, edges=tuple(sorted(residual)))
-    return graph, sorted(mapped)
+    left = tuple(sorted({lf for lf, _, _ in edges}))
+    right = tuple(sorted({rf for _, rf, _ in edges}))
+    return FieldMatchGraph(left=left, right=right, edges=tuple(sorted(edges)))
 
 
 def _km_square(weight: list[list[float]]) -> list[int]:
@@ -203,17 +194,17 @@ def verify_pair(
     """Compute the similarity of candidate pair (i, j).
 
     The similar field pairs come straight from the index (the refined
-    field set); the matching is forced edges (from the promoted schema
-    matchings in ``partners``, see :func:`resolve_forced_pairs`) + mapped
-    edges + the KM solution on the residual graph.  Alongside the score,
-    emits the attribute pairs underlying every matched edge as
+    field set); the matching is the forced edges (from the promoted schema
+    matchings in ``partners``, see :func:`resolve_forced_pairs`) + the KM
+    solution on the refined edges that touch no forced field.  Alongside
+    the score, emits the attribute pairs underlying every matched edge as
     schema-matching predictions.
     """
     a, b = index.store[i], index.store[j]
     bound = index.cal_bound(i, j)
     forced = resolve_forced_pairs(index, i, j, partners, bound.refined)
-    graph, mapped = build_graph(bound.refined, [(lf, rf) for lf, rf, _ in forced])
-    matching = FieldMatchingSet(forced + mapped + km_max_weight(graph))
+    graph = build_graph(bound.refined, [(lf, rf) for lf, rf, _ in forced])
+    matching = FieldMatchingSet(forced + km_max_weight(graph))
     sim = record_sim(a, b, matching)
 
     predictions: list[tuple[AttrOrigin, AttrOrigin]] = []

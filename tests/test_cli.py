@@ -123,6 +123,15 @@ class TestParseInput:
         write_jsonl(p, [doc("a", name=["Bush", " ", None, ""], phone=[None])])
         assert [f.values for f in parse_input(str(p)).store[1].fields] == [["bush"]]
 
+    def test_wide_field_keeps_first_occurrence_order(self, tmp_path):
+        # 1,000 distinct values, each repeated in another case and padded,
+        # with blanks and nulls between them
+        p = tmp_path / "r.jsonl"
+        words = [f"v{k:04d}" for k in range(999, -1, -1)]
+        raw = [x for w in words for x in (w, None, f" {w.upper()} ", "", w)]
+        write_jsonl(p, [doc("a", name=raw)])
+        assert parse_input(str(p)).store[1].fields[0].values == words
+
     def test_record_without_values_rejected(self, tmp_path):
         p = tmp_path / "bad.jsonl"
         write_jsonl(p, [doc("a", name="x"), doc("b", name=" ", phone=[None, "\t"])])
@@ -458,6 +467,14 @@ class TestMain:
         assert main(["--input", str(CUSTOMERS), flag, str(tmp_path / "missing" / "x.jsonl")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("entres: [Errno 2] ") and err.count("\n") == 1
+
+    def test_outputs_written_before_an_unwritable_one_stay(self, tmp_path, capsys):
+        # --out is written before --emit-matchings, and is kept when that fails
+        out = tmp_path / "labels.jsonl"
+        missing = tmp_path / "missing" / "x.jsonl"
+        assert main(["--input", str(CUSTOMERS), "--out", str(out), "--emit-matchings", str(missing)]) == 1
+        assert capsys.readouterr().err.startswith("entres: [Errno 2] ")
+        assert set(load_labels(str(out))) == {f"r{i}" for i in range(1, 7)}
 
     @pytest.mark.parametrize("gold_text", [None, '{"id": "r1"}\n', "{oops\n"],
                              ids=["missing", "no-entity", "bad-json"])

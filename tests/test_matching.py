@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -47,33 +48,62 @@ def graph_of(edges):
     return FieldMatchGraph(left=left, right=right, edges=tuple(sorted(edges)))
 
 
-class TestBuildGraph:
-    def test_degree_one_edges_become_mapped(self):
-        graph, mapped = build_graph([(1, 2, 1.0), (2, 4, 0.37)])
-        assert graph.is_empty
-        assert mapped == [(1, 2, 1.0), (2, 4, 0.37)]
+def unforced_weights(refined, forced, n_left, n_right):
+    """The weight matrix of the refined edges that touch no forced field,
+    0-based, as ``oracle_max_weight`` takes it."""
+    blocked_left = {lf for lf, _ in forced}
+    blocked_right = {rf for _, rf in forced}
+    w = [[0.0] * n_right for _ in range(n_left)]
+    for lf, rf, s in refined:
+        if lf not in blocked_left and rf not in blocked_right:
+            w[lf - 1][rf - 1] = s
+    return tuple(map(tuple, w))
 
+
+N_FIELDS = 6
+field_pairs_st = st.tuples(st.integers(1, N_FIELDS), st.integers(1, N_FIELDS))
+# a few repeated scores, so that ties between edges are common
+score_st = st.sampled_from([0.3, 0.5, 0.7, 1.0]) | st.floats(0.05, 1.0)
+
+
+class TestBuildGraph:
     def test_conflicting_edges_stay_in_graph(self):
         refined = [(1, 2, 1.0), (4, 1, 0.6), (5, 1, 1.0)]
-        graph, mapped = build_graph(refined)
-        assert mapped == [(1, 2, 1.0)]
-        assert graph.edges == ((4, 1, 0.6), (5, 1, 1.0))
-        assert graph.left == (4, 5) and graph.right == (1,)
+        graph = build_graph(refined)
+        assert graph.edges == ((1, 2, 1.0), (4, 1, 0.6), (5, 1, 1.0))
+        assert graph.left == (1, 4, 5) and graph.right == (1, 2)
 
     def test_forced_pair_removes_incident_edges(self):
         refined = [(1, 2, 1.0), (4, 1, 0.6), (5, 1, 1.0)]
-        graph, mapped = build_graph(refined, forced=[(4, 1)])
+        graph = build_graph(refined, forced=[(4, 1)])
         # rf=1 is taken, so (5, 1) disappears entirely
-        assert graph.is_empty
-        assert mapped == [(1, 2, 1.0)]
+        assert graph.edges == ((1, 2, 1.0),)
+        assert graph.left == (1,) and graph.right == (2,)
 
     def test_forced_fields_block_row_and_column(self):
-        # forcing (2, 2) removes every edge touching lf=2 or rf=2; the
-        # survivor (1, 1) then has degree one on both sides
+        # forcing (2, 2) removes every edge touching lf=2 or rf=2
         refined = [(1, 1, 0.9), (2, 1, 0.5), (2, 2, 0.8), (3, 2, 0.6)]
-        graph, mapped = build_graph(refined, forced=[(2, 2)])
-        assert mapped == [(1, 1, 0.9)]
-        assert graph.is_empty
+        graph = build_graph(refined, forced=[(2, 2)])
+        assert graph.edges == ((1, 1, 0.9),)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.dictionaries(field_pairs_st, score_st, max_size=12),
+        st.lists(field_pairs_st, max_size=3),
+    )
+    def test_km_keeps_isolated_edges_at_optimum_weight(self, scores, forced):
+        # KM on the unforced graph settles an edge whose two fields have no
+        # other edge the way a degree-1 peel would, and loses no weight
+        refined = [(lf, rf, s) for (lf, rf), s in scores.items()]
+        graph = build_graph(refined, forced)
+        matching = km_max_weight(graph)
+        ldeg = Counter(lf for lf, _, _ in graph.edges)
+        rdeg = Counter(rf for _, rf, _ in graph.edges)
+        for e in graph.edges:
+            if ldeg[e[0]] == 1 and rdeg[e[1]] == 1:
+                assert e in matching
+        w = unforced_weights(refined, forced, N_FIELDS, N_FIELDS)
+        assert weight(matching) == pytest.approx(oracle_max_weight(N_FIELDS, N_FIELDS, w))
 
 
 class TestKuhnMunkres:
@@ -116,24 +146,6 @@ class TestKuhnMunkres:
             if not edges:
                 continue
             assert weight(km_max_weight(graph_of(edges))) == pytest.approx(oracle_max_weight(nl, nr, tuple(map(tuple, w))))
-
-    def test_decomposition_equals_whole_graph_km(self):
-        # forced/mapped peeling must not change the achievable weight when
-        # the peeled edges are themselves optimal choices
-        rng = random.Random(77)
-        for trial in range(200):
-            nl, nr = rng.randint(1, 7), rng.randint(1, 7)
-            refined = []
-            for lf in range(1, nl + 1):
-                for rf in range(1, nr + 1):
-                    if rng.random() < 0.4:
-                        refined.append((lf, rf, round(rng.uniform(0.05, 1.0), 3)))
-            if not refined:
-                continue
-            whole = weight(km_max_weight(graph_of(refined)))
-            graph, mapped = build_graph(refined)
-            split = weight(km_max_weight(graph)) + weight(mapped)
-            assert split == pytest.approx(whole)
 
 
 class TestVerifyPair:
@@ -178,6 +190,33 @@ class TestVerifyPair:
                     assert result.sim <= bound.up + 1e-9
                     if not bound.has_multiple:
                         assert result.sim == pytest.approx(bound.up)
+
+    def test_against_enumeration_oracle(self):
+        # forced edges first, then the best one-to-one choice of what is left
+        rng = random.Random(29)
+        for trial in range(40):
+            store = random_store(rng, rng.randint(2, 6))
+            origins = sorted({o for rec in store.values() for f in rec.fields for o in f.origins})
+            pairs = [(o1, o2) for o1 in origins for o2 in origins
+                     if o1.source < o2.source and rng.random() < 0.15]
+            partners = partners_of(pairs)
+            index = build_index(store, XI)
+            rids = sorted(store)
+            for a, i in enumerate(rids):
+                for j in rids[a + 1 :]:
+                    refined = index.cal_bound(i, j).refined
+                    forced = resolve_forced_pairs(index, i, j, partners, refined)
+                    matching = list(verify_pair(index, i, j, partners).matching)
+                    assert len({lf for lf, _, _ in matching}) == len(matching)
+                    assert len({rf for _, rf, _ in matching}) == len(matching)
+                    assert set(forced) <= set(matching)
+                    forced_fields = [(lf, rf) for lf, rf, _ in forced]
+                    w = unforced_weights(refined, forced_fields, store[i].width, store[j].width)
+                    free = [e for e in matching if e not in forced]
+                    assert all(w[lf - 1][rf - 1] == s for lf, rf, s in free)
+                    assert weight(free) == pytest.approx(
+                        oracle_max_weight(store[i].width, store[j].width, w)
+                    )
 
 
 class TestResolveForcedPairs:
