@@ -67,6 +67,12 @@ score_st = st.sampled_from([0.3, 0.5, 0.7, 1.0]) | st.floats(0.05, 1.0)
 
 
 class TestBuildGraph:
+    def test_degree_one_edges_become_mapped(self):
+        # isolated edges stay in the graph, and KM maps every one of them
+        graph = build_graph([(1, 2, 1.0), (2, 4, 0.37)])
+        assert graph.edges == ((1, 2, 1.0), (2, 4, 0.37))
+        assert km_max_weight(graph) == [(1, 2, 1.0), (2, 4, 0.37)]
+
     def test_conflicting_edges_stay_in_graph(self):
         refined = [(1, 2, 1.0), (4, 1, 0.6), (5, 1, 1.0)]
         graph = build_graph(refined)
@@ -146,6 +152,28 @@ class TestKuhnMunkres:
             if not edges:
                 continue
             assert weight(km_max_weight(graph_of(edges))) == pytest.approx(oracle_max_weight(nl, nr, tuple(map(tuple, w))))
+
+    def test_decomposition_equals_whole_graph_km(self):
+        # settling the degree-1/degree-1 edges apart and running KM on the
+        # rest reaches the same weight as one KM over the whole graph
+        rng = random.Random(77)
+        for trial in range(200):
+            nl, nr = rng.randint(1, 7), rng.randint(1, 7)
+            refined = []
+            for lf in range(1, nl + 1):
+                for rf in range(1, nr + 1):
+                    if rng.random() < 0.4:
+                        refined.append((lf, rf, round(rng.uniform(0.05, 1.0), 3)))
+            if not refined:
+                continue
+            whole = km_max_weight(build_graph(refined))
+            ldeg = Counter(lf for lf, _, _ in refined)
+            rdeg = Counter(rf for _, rf, _ in refined)
+            isolated = [e for e in refined if ldeg[e[0]] == 1 and rdeg[e[1]] == 1]
+            rest = [e for e in refined if e not in isolated]
+            assert set(isolated) <= set(whole)
+            split = weight(km_max_weight(graph_of(rest))) + weight(isolated)
+            assert split == pytest.approx(weight(whole))
 
 
 class TestVerifyPair:
