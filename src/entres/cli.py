@@ -57,7 +57,9 @@ def _json_lines(path: str) -> Iterator[tuple[int, object]]:
 
     Lines end where they do in text mode (at a line feed, a carriage
     return or both), and each is decoded as UTF-8 on its own, so a byte
-    sequence that is not UTF-8 is reported with its line number."""
+    sequence that is not UTF-8 is reported with its line number.  A
+    byte-order mark that opens the file, as "UTF-8 with BOM" exports
+    write, is skipped; anywhere else it is a character of its line."""
     with open(path, "rb") as fp:
         for lineno, raw in enumerate((line for chunk in fp for line in chunk.splitlines()), 1):
             try:
@@ -66,6 +68,8 @@ def _json_lines(path: str) -> Iterator[tuple[int, object]]:
                 raise InputError(
                     f"line {lineno}: not valid UTF-8 ({exc.reason} at byte {exc.start + 1})"
                 ) from exc
+            if lineno == 1:
+                line = line.removeprefix("\ufeff")
             if not line.strip():
                 continue
             try:

@@ -126,10 +126,7 @@ class ResolutionEngine:
             result = verify_pair(self.index, ri, rj, self.ledger.partners)
             if result.sim < cfg.delta:
                 continue
-            for a, b in result.predictions:
-                self.ledger.record_prediction(a, b)
-                self.ledger.try_promote(a, b.source)
-                self.ledger.try_promote(b, a.source)
+            self.ledger.vote(self.store[ri], self.store[rj], result.matching)
             self.merge_pair(ri, rj, result.matching)
             merges += 1
         return merges

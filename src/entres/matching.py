@@ -43,7 +43,6 @@ class FieldMatchGraph:
 class VerifyResult:
     sim: float
     matching: FieldMatchingSet
-    predictions: tuple[tuple[AttrOrigin, AttrOrigin], ...]
 
 
 def build_graph(
@@ -196,26 +195,11 @@ def verify_pair(
     The similar field pairs come straight from the index (the refined
     field set); the matching is the forced edges (from the promoted schema
     matchings in ``partners``, see :func:`resolve_forced_pairs`) + the KM
-    solution on the refined edges that touch no forced field.  Alongside
-    the score, emits the attribute pairs underlying every matched edge as
-    schema-matching predictions.
+    solution on the refined edges that touch no forced field.
     """
     a, b = index.store[i], index.store[j]
     bound = index.cal_bound(i, j)
     forced = resolve_forced_pairs(index, i, j, partners, bound.refined)
     graph = build_graph(bound.refined, [(lf, rf) for lf, rf, _ in forced])
     matching = FieldMatchingSet(forced + km_max_weight(graph))
-    sim = record_sim(a, b, matching)
-
-    predictions: list[tuple[AttrOrigin, AttrOrigin]] = []
-    seen: set[tuple[AttrOrigin, AttrOrigin]] = set()
-    for lf, rf, _ in matching:
-        for o1 in sorted(a.fields[lf - 1].origins):
-            for o2 in sorted(b.fields[rf - 1].origins):
-                if o1.source == o2.source:
-                    continue
-                key = (o1, o2) if o1 <= o2 else (o2, o1)
-                if key not in seen:
-                    seen.add(key)
-                    predictions.append(key)
-    return VerifyResult(sim=sim, matching=matching, predictions=tuple(predictions))
+    return VerifyResult(sim=record_sim(a, b, matching), matching=matching)

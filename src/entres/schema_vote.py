@@ -1,10 +1,12 @@
 """Schema-matching decisions by majority vote.
 
-Every verified similar record pair predicts some attribute
-correspondences.  Per source attribute and counterpart schema the
-predictions are tallied; the most frequent candidate is promoted once a
-Hoeffding-style upper bound on the error probability of the vote drops
-below the configured threshold.  Promotions are frozen: later
+Every verified similar record pair votes for the attribute
+correspondences its field matching predicts: :meth:`SchemaVoteLedger.vote`
+turns each matched field pair into predictions, one per pair of the two
+fields' origins across schemas.  Per source attribute and counterpart
+schema the predictions are tallied; the most frequent candidate is
+promoted once a Hoeffding-style upper bound on the error probability of
+the vote drops below the configured threshold.  Promotions are frozen: later
 contradicting votes are logged, never acted on.
 
 A prediction ``(a, b)`` contradicts the promotions when ``a`` already
@@ -25,7 +27,8 @@ import math
 from dataclasses import dataclass
 from typing import IO, AbstractSet, Mapping
 
-from .records import AttrOrigin
+from .records import AttrOrigin, SuperRecord
+from .similarity import FieldMatchingSet
 
 
 def error_bound(n: int, p: float) -> float:
@@ -90,6 +93,22 @@ class SchemaVoteLedger:
             contradicts |= decided is not None and decided.b != cand
         if contradicts:
             self.contradictions.append((a, b))
+
+    def vote(self, a: SuperRecord, b: SuperRecord, matching: FieldMatchingSet) -> None:
+        """Cast the votes of the verified merge of ``a`` and ``b`` under
+        ``matching``: each cross-schema pair of a matched field pair's
+        origins (matching order, origins sorted) is recorded once, as
+        ``(lower, higher)``, and then both its keys are offered for promotion."""
+        seen: set[tuple[AttrOrigin, AttrOrigin]] = set()
+        for lf, rf, _ in matching:
+            for o1 in sorted(a.fields[lf - 1].origins):
+                for o2 in sorted(b.fields[rf - 1].origins):
+                    x, y = (o1, o2) if o1 <= o2 else (o2, o1)
+                    if o1.source != o2.source and (x, y) not in seen:
+                        seen.add((x, y))
+                        self.record_prediction(x, y)
+                        self.try_promote(x, y.source)
+                        self.try_promote(y, x.source)
 
     def votes_for(self, a: AttrOrigin, counterpart: str) -> dict[AttrOrigin, int]:
         return dict(self._votes.get((a, counterpart), {}))

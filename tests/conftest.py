@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from entres.cli import parse_input
-from entres.pair_index import FieldLabel, RecordStore, ValuePairIndex, _triples
+from entres.pair_index import BoundResult, FieldLabel, RecordStore, ValuePairIndex, _triples
 from entres.records import (
     AttrOrigin,
     EntityForest,
@@ -96,6 +96,21 @@ def lookalike_store(n_entities, seed):
             rows.append([(AttrOrigin(source, attr), truth[c]) for c, attr in concepts])
     rng.shuffle(rows)
     return {rid: basic_record(rid, items) for rid, items in enumerate(rows, 1)}
+
+
+def lookalike_gold() -> set[frozenset[AttrOrigin]]:
+    """The true schema matching of :data:`LOOKALIKE_SCHEMAS`: every pair of
+    attributes of two sources that name the same concept."""
+    by_concept: dict[str, list[AttrOrigin]] = defaultdict(list)
+    for source, concepts in LOOKALIKE_SCHEMAS.items():
+        for concept, attr in concepts:
+            by_concept[concept].append(AttrOrigin(source, attr))
+    return {
+        frozenset((one, two))
+        for attrs in by_concept.values()
+        for pos, one in enumerate(attrs)
+        for two in attrs[pos + 1 :]
+    }
 
 
 def partners_of(pairs) -> dict[AttrOrigin, set[AttrOrigin]]:
@@ -265,3 +280,46 @@ def reference_apply_merge(index: ValuePairIndex, i: int, j: int, k: int, field_m
                 best[left, right] = max(sim, best.get((left, right), 0.0))
     for (left, right), sim in sorted(best.items()):
         index._append((left,), (right,), sim)
+
+
+class BruteIndex:
+    """A test double for :class:`~entres.pair_index.ValuePairIndex` that
+    keeps no runs: every bound and every pass plan is recomputed from the
+    live store by :func:`reference_cal_bound` and
+    :func:`reference_generate_candidates`.  The engine updates the store it
+    shares with its index, so ``apply_merge`` has nothing to do.  Built
+    with the signature of ``build_index``, in whose place it can stand."""
+
+    def __init__(self, store: RecordStore, xi: float, q: int) -> None:
+        self.store = store
+        self.xi = xi
+        self.q = q
+
+    def cal_bound(self, i: int, j: int) -> BoundResult:
+        up, refined, has_multiple = reference_cal_bound(self, i, j, self.xi)
+        return BoundResult(up, tuple(sorted(refined)), has_multiple)
+
+    def generate_candidates(self, delta: float):
+        return reference_generate_candidates(self, delta, self.xi)
+
+    def apply_merge(self, i: int, j: int, k: int, field_map) -> None:
+        pass
+
+
+def reference_votes(ledger, a: SuperRecord, b: SuperRecord, matching) -> None:
+    """The simple path for ``SchemaVoteLedger.vote``, usable as the method
+    itself: first list the predictions of the matching (per matched field
+    pair, each pair of the two fields' sorted origins that spans two
+    schemas, as ``(lower, higher)``, first occurrence only), then record
+    each one and offer both of its keys for promotion."""
+    predictions: list[tuple[AttrOrigin, AttrOrigin]] = []
+    for lf, rf, _ in matching:
+        for o1 in sorted(a.fields[lf - 1].origins):
+            for o2 in sorted(b.fields[rf - 1].origins):
+                key = (o1, o2) if o1 <= o2 else (o2, o1)
+                if o1.source != o2.source and key not in predictions:
+                    predictions.append(key)
+    for x, y in predictions:
+        ledger.record_prediction(x, y)
+        ledger.try_promote(x, y.source)
+        ledger.try_promote(y, x.source)

@@ -1,3 +1,4 @@
+import codecs
 import io
 import itertools
 import json
@@ -443,6 +444,32 @@ class TestMain:
                      "--ground-truth", str(gold)])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"entres: line {n_lines + 1}: not valid UTF-8 (")
+
+    def test_input_opening_with_a_byte_order_mark(self, tmp_path, capsys):
+        p = tmp_path / "bom.jsonl"
+        p.write_bytes(codecs.BOM_UTF8 + CUSTOMERS.read_bytes())
+        assert main(["--input", str(CUSTOMERS)]) == 0
+        expected = capsys.readouterr().out
+        assert main(["--input", str(p)]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_ground_truth_opening_with_a_byte_order_mark(self, tmp_path, capsys):
+        gold = tmp_path / "gold.jsonl"
+        gold.write_bytes(codecs.BOM_UTF8 + CUSTOMERS_GOLD.read_bytes())
+        reports = []
+        for path in (CUSTOMERS_GOLD, gold):
+            assert main(["--input", str(CUSTOMERS), "--out", str(tmp_path / "labels.jsonl"),
+                         "--ground-truth", str(path)]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert json.loads(reports[1])["f1"] == 1.0
+
+    def test_byte_order_mark_after_the_start_rejected_with_line(self, tmp_path, capsys):
+        p = tmp_path / "bom.jsonl"
+        lines = CUSTOMERS.read_bytes().splitlines(keepends=True)
+        p.write_bytes(lines[0] + codecs.BOM_UTF8 + b"".join(lines[1:]))
+        assert main(["--input", str(p)]) == 1
+        assert capsys.readouterr().err.startswith("entres: line 2: invalid JSON (")
 
     def test_flags_alone_give_the_default_config(self):
         assert _config(_build_parser().parse_args(["--input", "x"])) == EngineConfig()

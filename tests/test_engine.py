@@ -11,18 +11,39 @@ import entres.matching as matching
 from entres.engine import EngineConfig, ResolutionEngine, run
 from entres.pair_index import ValuePairIndex
 from entres.records import AttrOrigin, Field, SuperRecord, basic_record
+from entres.schema_vote import SchemaVoteLedger
 from entres.synth import clustered_corpus, split_attribute_corpus
 from tests.conftest import (
+    BruteIndex,
+    lookalike_gold,
     lookalike_store,
     random_store,
     reference_apply_merge,
     reference_forced_pairs,
     reference_merge_super_records,
+    reference_votes,
 )
+
+# loose enough that small random stores verify, promote and contradict
+VOTING_CONFIG = EngineConfig(delta=0.3, xi=0.4, rho=0.9)
+LOOKALIKE_CORPORA = [(20, 0), (20, 1), (40, 0), (40, 1)]
 
 
 def entity_sets(result):
     return {frozenset(m) for m in result.entities.values()}
+
+
+def outcome(store, config=None):
+    """Everything a run decides: labels, merges per iteration, the
+    promotions (with votes and error bounds) and the contradicting votes."""
+    engine = ResolutionEngine(dict(store), config)
+    result = engine.run()
+    return result.labels, result.merge_history, result.promoted, engine.ledger.contradictions
+
+
+def seeded_random_store(seed):
+    rng = random.Random(seed)
+    return random_store(rng, rng.randint(2, 12))
 
 
 class TestConfig:
@@ -227,6 +248,66 @@ class TestPromotedMatchings:
         ]
 
 
+class TestVote:
+    """The ledger's ``vote`` against the simple path it replaced: list every
+    prediction of the matching first, then record each and offer both of
+    its keys for promotion."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lookalike_runs_same_as_reference(self, seed, monkeypatch):
+        store = lookalike_store(20, seed)
+        expected = outcome(store)
+        assert expected[2]
+        monkeypatch.setattr(SchemaVoteLedger, "vote", reference_votes)
+        assert outcome(store) == expected
+
+    def test_random_stores_same_as_reference(self, monkeypatch):
+        stores = [seeded_random_store(seed) for seed in range(200)]
+        expected = [outcome(store, VOTING_CONFIG) for store in stores]
+        # the stores promote and contradict, so vote order and repeats show
+        assert sum(len(promoted) for _, _, promoted, _ in expected) > 0
+        assert sum(bool(contradictions) for *_, contradictions in expected) > 0
+        monkeypatch.setattr(SchemaVoteLedger, "vote", reference_votes)
+        assert [outcome(store, VOTING_CONFIG) for store in stores] == expected
+
+
+class TestBruteIndex:
+    """The whole engine over an index that keeps nothing: every bound and
+    pass plan recomputed from the live store with ``simf``."""
+
+    @staticmethod
+    def over_brute_index(store, config=None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine_module, "build_index", BruteIndex)
+            return outcome(store, config)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 12),
+        config=st.sampled_from([EngineConfig(), VOTING_CONFIG]),
+    )
+    def test_random_stores(self, seed, n, config):
+        store = random_store(random.Random(seed), n)
+        assert self.over_brute_index(store, config) == outcome(store, config)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lookalike(self, seed):
+        store = lookalike_store(20, seed)
+        assert self.over_brute_index(store) == outcome(store)
+
+
+class TestSchemaMatchingQuality:
+    @pytest.mark.parametrize("n, seed", LOOKALIKE_CORPORA)
+    def test_lookalike_promotions_against_gold(self, n, seed):
+        # pinned so that a change to the vote re-records them on purpose:
+        # 11 of the 21 promoted pairs are true (precision 0.52), and they
+        # are 11 of the 12 true pairs (recall 0.92)
+        gold = lookalike_gold()
+        promoted = {promo.as_pair() for promo in run(lookalike_store(n, seed)).promoted}
+        assert (len(gold), len(promoted), len(promoted & gold)) == (12, 21, 11)
+
+
 class TestMergeInPlace:
     @pytest.mark.parametrize(
         "store",
@@ -276,6 +357,25 @@ class TestOrderIndependence:
         shuffled, old_of = with_shuffled_ids(store, random.Random(shuffle_seed))
         result = run(shuffled)
         assert {frozenset(old_of[r] for r in m) for m in result.entities.values()} == expected
+
+    @pytest.mark.parametrize("shuffle_seed", [0, 1, 2])
+    @pytest.mark.parametrize("n, seed", LOOKALIKE_CORPORA)
+    def test_shuffled_fields_give_same_partition(self, n, seed, shuffle_seed):
+        # promotions may move with field order (ROADMAP item 7); the
+        # partition and the merges per iteration may not
+        store = lookalike_store(n, seed)
+        expected = run(dict(store))
+        rng = random.Random(shuffle_seed)
+        shuffled = {
+            rid: SuperRecord(
+                rid=rid,
+                fields=rng.sample([Field(list(f.values), f.origins) for f in rec.fields], len(rec.fields)),
+            )
+            for rid, rec in store.items()
+        }
+        result = run(shuffled)
+        assert entity_sets(result) == entity_sets(expected)
+        assert result.merge_history == expected.merge_history
 
     @pytest.mark.xfail(
         strict=True,

@@ -14,6 +14,7 @@ from entres.matching import (
 )
 from entres.pair_index import build_index
 from entres.records import AttrOrigin, Field, SuperRecord
+from entres.schema_vote import SchemaVoteLedger
 from entres.similarity import simf
 from tests.conftest import partners_of, random_store, reference_forced_pairs
 
@@ -186,15 +187,18 @@ class TestVerifyPair:
     def test_customer_predictions(self, customer_store):
         index = build_index(customer_store, XI)
         result = verify_pair(index, 2, 4)
-        preds = set(result.predictions)
-        assert (AttrOrigin("CustomerII", "name"),
-                AttrOrigin("CustomerIII", "name")) in preds
-        assert (AttrOrigin("CustomerII", "e-mail"),
-                AttrOrigin("CustomerIII", "work mailbox")) in preds
-        assert (AttrOrigin("CustomerII", "city"),
-                AttrOrigin("CustomerIII", "city")) in preds
-        for o1, o2 in preds:
-            assert o1.source != o2.source
+        a, b = index.store[2], index.store[4]
+        ledger = SchemaVoteLedger(p=0.8, rho=0.6)
+        ledger.vote(a, b, result.matching)
+        for one, two in [
+            (AttrOrigin("CustomerII", "name"), AttrOrigin("CustomerIII", "name")),
+            (AttrOrigin("CustomerII", "e-mail"), AttrOrigin("CustomerIII", "work mailbox")),
+            (AttrOrigin("CustomerII", "city"), AttrOrigin("CustomerIII", "city")),
+        ]:
+            assert ledger.votes_for(one, two.source)[two] == 1
+            assert ledger.votes_for(two, one.source)[one] == 1
+        for origin in {o for rec in (a, b) for f in rec.fields for o in f.origins}:
+            assert ledger.votes_for(origin, origin.source) == {}
 
     def test_forced_pair_overrides_km_choice(self, customer_store):
         index = build_index(customer_store, XI)
