@@ -13,15 +13,21 @@ made for its gram-set pair.  Only this module reads that layout; callers
 get triples from :meth:`ValuePairIndex.cal_bound` and
 :meth:`ValuePairIndex.iter_pairs`.  The runs sit in a symmetric run map:
 ``runs[a][b]`` and ``runs[b][a]`` are the same list, so a record's row
-holds all its runs.  A run holds one entry per field pair and is in no
-particular order; the inspection views sort it.
+holds all its runs.  A run that every read sees holds one entry per
+field pair, in no particular order; the inspection views sort it.
 
 Field similarity of a merged field is the maximum over its two parts, so
-a merge only maps the absorbed record's field ids onto the merged record
-and keeps the best entry per field pair.  The surviving record keeps its
-fields and runs; the absorbed record's row is popped and its runs move
-onto the survivor.  Union by size absorbs the record with fewer members,
-so each entry is moved O(log n) times over a run.
+a merge appends: it maps the absorbed record's field ids onto the merged
+record and does nothing else.  The surviving record keeps its fields and
+runs; the absorbed record's row is popped and each of its runs moves onto
+the survivor, appended to the run the survivor already has with the same
+record.  Until the next read folds it to the best entry per field pair,
+such a run may hold a field pair more than once.  The index marks each
+record whose runs may, and the next read that can see them (a pass plan,
+a bound on a marked record, the size, the inspection views) folds the
+marked rows, so a run that several merges of one pass touched is folded
+once.  Union by size absorbs the record with fewer members, so each entry
+is moved O(log n) times over a run.
 """
 
 from __future__ import annotations
@@ -103,6 +109,8 @@ class ValuePairIndex:
         self.store = store
         self.q = q
         self._runs: dict[int, dict[int, Run]] = {}  # rid -> other rid -> run
+        # records whose runs may hold a field pair twice: every such run has an end here
+        self._unfolded: set[int] = set()
 
     # -- construction -----------------------------------------------------
 
@@ -155,9 +163,15 @@ class ValuePairIndex:
                 if i < j or j not in rids:  # a run with both ends in rids is folded once
                     row[j] = runs[j][i] = _fold(run)
 
+    def _fold_pending(self) -> None:
+        """Fold the runs that merges appended to since the last read."""
+        self._fold_runs(self._unfolded)
+        self._unfolded.clear()
+
     # -- read operations --------------------------------------------------
 
     def __len__(self) -> int:
+        self._fold_pending()
         # each run sits in two rows and holds three slots per entry
         return sum(len(run) for row in self._runs.values() for run in row.values()) // 6
 
@@ -177,6 +191,8 @@ class ValuePairIndex:
         """
         if i >= j:
             raise ValueError("lookup requires i < j")
+        if i in self._unfolded or j in self._unfolded:
+            self._fold_pending()
         run = self._runs.get(i, _NO_RUNS).get(j)
         if not run:
             return BoundResult(0.0, (), False)
@@ -220,6 +236,7 @@ class ValuePairIndex:
         candidates: list[tuple[int, int]] = []
         direct: list[tuple[tuple[int, int], float]] = []
         held: set[int] = set()  # the records of the direct pairs planned so far
+        self._fold_pending()  # _has_multiple below reads the runs unbounded
         runs = self._runs
         for i, j in self._pairs():
             if (i in held or j in held) and not _has_multiple(runs[i][j]):
@@ -246,26 +263,37 @@ class ValuePairIndex:
         keeps its entries.  The absorbed record's row is popped and each of
         its runs moves onto ``k`` in place: the absorbed field ids are
         mapped and put on ``k``'s side of the record pair, and where
-        ``k`` already has a run with the same other record, the two are
-        folded to the best entry per field pair (a matched field's
-        similarity is the maximum over its two parts).
+        ``k`` already has a run with the same other record, the moved
+        entries are appended to it.  Nothing is folded here: ``k`` is
+        marked, and its runs may hold a field pair more than once until
+        the next read folds them to the best entry per field pair (a
+        matched field's similarity is the maximum over its two parts).
+        The map is one-to-one, so folding gives the same entries, in the
+        same order, whether it runs after each merge or once after many.
         """
         if k not in (i, j):
             raise ValueError("the merged record keeps the rid of one of the two")
         gone = j if k == i else i
         runs = self._runs
+        unfolded = self._unfolded
+        if gone in unfolded:  # its moved runs may not be folded yet
+            unfolded.discard(gone)
+            unfolded.add(k)
         for x, run in runs.pop(gone, {}).items():
             del runs[x][gone]
             if x == k:
                 continue  # the run between the two records goes
             side = 0 if gone < x else 1  # the absorbed side of each entry
             to = 0 if k < x else 1  # the side k takes
-            mapped = [field_map[fid] for fid in run[side::3]]
+            mapped = [*map(field_map.__getitem__, run[side::3])]
             run[1 - to :: 3] = run[1 - side :: 3]
             run[to::3] = mapped
             kept = runs[x].get(k)
-            # field_map is one-to-one, so moved entries collide only with kept ones
-            runs[x][k] = runs.setdefault(k, {})[x] = _fold(kept + run) if kept else run
+            if kept:
+                kept += run  # the one list of both rows
+                unfolded.add(k)
+            else:
+                runs[x][k] = runs.setdefault(k, {})[x] = run
 
     # -- inspection -------------------------------------------------------
 
@@ -277,6 +305,7 @@ class ValuePairIndex:
     def iter_pairs(self) -> Iterator[IndexedPair]:
         """All field pairs in index order: (rid_1, rid_2) ascending, then
         similarity descending, then field ids."""
+        self._fold_pending()
         for key in self._pairs():
             yield from self._labelled(*key)
 

@@ -135,11 +135,13 @@ def merge_super_records(
     order.  A matched field unions the two origin sets.  A matched
     absorbed field maps onto its partner and an unmatched one onto its new
     position, so the map is one-to-one.  Neither input record is
-    modified.
+    modified.  A :class:`~entres.similarity.FieldMatchingSet` is used as
+    it is, since it was checked when built; any other iterable is checked
+    by building one.
     """
     if forest.find(a.rid) == forest.find(b.rid):
         raise ValueError("cannot merge a record with itself")
-    pairs = FieldMatchingSet(matching)
+    pairs = matching if isinstance(matching, FieldMatchingSet) else FieldMatchingSet(matching)
     for lf, rf, _ in pairs:
         if not (1 <= lf <= a.width) or not (1 <= rf <= b.width):
             raise ValueError(f"matching references missing field ({lf}, {rf})")

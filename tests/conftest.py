@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from entres.cli import parse_input
-from entres.pair_index import BoundResult, FieldLabel, RecordStore, ValuePairIndex, _triples
+from entres.pair_index import BoundResult, FieldLabel, RecordStore, ValuePairIndex, _fold, _triples
 from entres.records import (
     AttrOrigin,
     EntityForest,
@@ -280,6 +280,27 @@ def reference_apply_merge(index: ValuePairIndex, i: int, j: int, k: int, field_m
                 best[left, right] = max(sim, best.get((left, right), 0.0))
     for (left, right), sim in sorted(best.items()):
         index._append((left,), (right,), sim)
+
+
+def eager_apply_merge(index: ValuePairIndex, i: int, j: int, k: int, field_map) -> None:
+    """The eager path for ``ValuePairIndex.apply_merge``, usable as the
+    method itself: move the absorbed record's runs onto ``k`` as it does,
+    but fold each moved run into the run ``k`` already holds with the same
+    record right away, so the index never holds a field pair twice and
+    marks nothing for a later fold."""
+    gone = j if k == i else i
+    runs = index._runs
+    for x, run in runs.pop(gone, {}).items():
+        del runs[x][gone]
+        if x == k:
+            continue
+        side = 0 if gone < x else 1
+        to = 0 if k < x else 1
+        mapped = [field_map[fid] for fid in run[side::3]]
+        run[1 - to :: 3] = run[1 - side :: 3]
+        run[to::3] = mapped
+        kept = runs[x].get(k)
+        runs[x][k] = runs.setdefault(k, {})[x] = _fold(kept + run) if kept else run
 
 
 class BruteIndex:

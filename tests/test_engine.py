@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import entres.engine as engine_module
 import entres.matching as matching
+import entres.pair_index as pair_index
 from entres.engine import EngineConfig, ResolutionEngine, run
 from entres.pair_index import ValuePairIndex
 from entres.records import AttrOrigin, Field, SuperRecord, basic_record
@@ -15,6 +16,7 @@ from entres.schema_vote import SchemaVoteLedger
 from entres.synth import clustered_corpus, split_attribute_corpus
 from tests.conftest import (
     BruteIndex,
+    eager_apply_merge,
     lookalike_gold,
     lookalike_store,
     random_store,
@@ -323,6 +325,59 @@ class TestMergeInPlace:
         rewritten = run(dict(store))
         assert in_place.labels == rewritten.labels
         assert in_place.merge_history == rewritten.merge_history
+
+
+class TestAppendOnlyMerge:
+    """A merge appends moved runs and a later read folds them; the same run
+    with each moved run folded at its merge must decide the same."""
+
+    @staticmethod
+    def with_eager_folds(store, config=None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ValuePairIndex, "apply_merge", eager_apply_merge)
+            return outcome(store, config)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 12),
+        config=st.sampled_from([EngineConfig(), VOTING_CONFIG]),
+    )
+    def test_random_stores(self, seed, n, config):
+        store = random_store(random.Random(seed), n, max_values=3)
+        assert outcome(store, config) == self.with_eager_folds(store, config)
+
+    @pytest.mark.parametrize(
+        "store",
+        [lookalike_store(20, 0), lookalike_store(20, 1),
+         clustered_corpus(8, 50, seed=0)[0], clustered_corpus(8, 50, seed=1)[0]],
+        ids=["lookalike-0", "lookalike-1", "large-clusters-0", "large-clusters-1"],
+    )
+    def test_corpora(self, store):
+        assert outcome(store) == self.with_eager_folds(store)
+
+    def test_merge_never_folds(self, monkeypatch):
+        # clusters of 50 merge in cascades, so survivors meet the same records again
+        folds = 0
+        real_fold, real_apply_merge = pair_index._fold, ValuePairIndex.apply_merge
+
+        def counted_fold(run):
+            nonlocal folds
+            folds += 1
+            return real_fold(run)
+
+        def refused_fold(run):
+            raise AssertionError("apply_merge folded a run")
+
+        def apply_merge(self, *args):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pair_index, "_fold", refused_fold)
+                real_apply_merge(self, *args)
+
+        monkeypatch.setattr(pair_index, "_fold", counted_fold)
+        monkeypatch.setattr(ValuePairIndex, "apply_merge", apply_merge)
+        result = run(clustered_corpus(8, 50, seed=1)[0])
+        assert result.merges > 0 and folds > 0
 
 
 def with_shuffled_ids(store, rng):

@@ -26,6 +26,7 @@ from entres.records import (
 from entres.similarity import gram_jaccard, qgrams, simf
 from entres.synth import clustered_corpus, split_attribute_corpus
 from tests.conftest import (
+    eager_apply_merge,
     lookalike_store,
     random_store,
     reference_apply_merge,
@@ -326,17 +327,22 @@ def _six_field_store():
     return {1: mk(1), 2: mk(2)}
 
 
-def _merge_and_update(store, index, i, j, forest, reference=False):
-    """Merge records ``i`` and ``j`` greedily on their refined field set
-    and maintain ``index``, as the engine does, or with the simple paths
-    of the merge and the index maintenance when ``reference`` is set."""
-    bound = index.cal_bound(i, j)
+def _greedy_matching(refined):
+    """A one-to-one matching of a refined field set: best pairs first."""
     matching, lf_used, rf_used = [], set(), set()
-    for lf, rf, s in sorted(bound.refined, key=lambda t: (-t[2], t[0], t[1])):
+    for lf, rf, s in sorted(refined, key=lambda t: (-t[2], t[0], t[1])):
         if lf not in lf_used and rf not in rf_used:
             matching.append((lf, rf, s))
             lf_used.add(lf)
             rf_used.add(rf)
+    return matching
+
+
+def _merge_and_update(store, index, i, j, forest, reference=False):
+    """Merge records ``i`` and ``j`` greedily on their refined field set
+    and maintain ``index``, as the engine does, or with the simple paths
+    of the merge and the index maintenance when ``reference`` is set."""
+    matching = _greedy_matching(index.cal_bound(i, j).refined)
     if reference:
         merged, field_map = reference_merge_super_records(store[i], store[j], matching, forest)
         apply_merge = functools.partial(reference_apply_merge, index)
@@ -347,6 +353,24 @@ def _merge_and_update(store, index, i, j, forest, reference=False):
     store[merged.rid] = merged
     apply_merge(i, j, merged.rid, field_map)
     return merged
+
+
+def _eager_copy(store):
+    """An index of ``store`` whose merges fold at once (``eager_apply_merge``)."""
+    eager = build_index(store, XI)
+    eager.apply_merge = functools.partial(eager_apply_merge, eager)
+    return eager
+
+
+def _merge_unread(store, forest, i, j, matching, *indexes):
+    """Merge ``i`` and ``j`` under ``matching`` and maintain each index
+    without reading any of them.  Returns the survivor."""
+    merged, field_map = merge_super_records(store[i], store[j], matching, forest)
+    del store[i], store[j]
+    store[merged.rid] = merged
+    for index in indexes:
+        index.apply_merge(i, j, merged.rid, field_map)
+    return merged.rid
 
 
 class TestCalBound:
@@ -516,6 +540,24 @@ class TestGenerateCandidates:
             assert sim == bound.up >= 0.4
 
 
+def _dumped_text(index):
+    buf = io.StringIO()
+    index.dump_jsonl(buf)
+    return buf.getvalue()
+
+
+# every read of the index, as a function of it; each one folds what merges appended
+INDEX_READS = {
+    "len": len,
+    "iter_pairs": lambda index: list(index.iter_pairs()),
+    "dump_jsonl": _dumped_text,
+    "generate_candidates": lambda index: index.generate_candidates(0.5),
+    "cal_bound": lambda index: [
+        index.cal_bound(i, j) for i, j in itertools.combinations(sorted(index.store), 2)
+    ],
+}
+
+
 class TestApplyMerge:
     def test_internal_pairs_deleted(self, customer_store):
         index = build_index(customer_store, XI)
@@ -582,11 +624,97 @@ class TestApplyMerge:
         assert sum(higher for higher, _ in counts) > 0
         assert sum(dropped for _, dropped in counts) > 0
 
+    @staticmethod
+    def _append_chain(seed, n_records, n_merges, first_read):
+        """Merge record pairs of a random store, half of them with the last
+        survivor again, and maintain both the index and an eager copy of it
+        (see ``eager_apply_merge``) with no read of the index in between:
+        each matching comes from the records or from the copy.  Then read
+        the index first with ``first_read`` and require that this read and
+        every other one equal the copy's, and that the runs do too, run for
+        run and entry for entry.  Returns how many merges absorbed a record
+        whose runs were not folded yet, and how many records were pending a
+        fold when the chain ended."""
+        rng = random.Random(seed)
+        store = random_store(rng, n_records, max_values=3)
+        index, eager = build_index(store, XI), _eager_copy(store)
+        forest = EntityForest(store)
+        absorbed_unfolded = 0
+        last = None
+        for _ in range(n_merges):
+            if len(store) < 2:
+                break
+            if last in store and rng.random() < 0.5:
+                i, j = sorted((last, rng.choice([rid for rid in store if rid != last])))
+            else:
+                i, j = sorted(rng.sample(sorted(store), 2))
+            if rng.random() < 0.5:
+                refined = reference_cal_bound(eager, i, j, XI)[1]
+            else:
+                refined = eager.cal_bound(i, j).refined
+            marked = set(index._unfolded)
+            last = _merge_unread(store, forest, i, j, _greedy_matching(refined), index, eager)
+            absorbed_unfolded += i + j - last in marked
+        pending = len(index._unfolded)
+        assert INDEX_READS[first_read](index) == INDEX_READS[first_read](eager)
+        for read in INDEX_READS.values():
+            assert read(index) == read(eager)
+        assert not index._unfolded
+        assert index._runs == eager._runs
+        for a, row in index._runs.items():
+            for b, run in row.items():
+                assert index._runs[b][a] is run
+        return absorbed_unfolded, pending
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 14),
+        st.integers(1, 8),
+        st.sampled_from(sorted(INDEX_READS)),
+    )
+    def test_unread_merge_chain_matches_eager_folds(self, seed, n_records, n_merges, first_read):
+        self._append_chain(seed, n_records, n_merges, first_read)
+
+    def test_unread_merge_chains_cover_unfolded_absorbed_records(self):
+        counts = [self._append_chain(seed, 12, 8, "cal_bound") for seed in range(20)]
+        assert sum(absorbed for absorbed, _ in counts) > 0
+        assert sum(pending > 1 for _, pending in counts) > 0
+
+    def test_absorbed_record_hands_its_pending_fold_on(self):
+        # 2 and 3 both hold p and q, so the survivor 2 holds each of its
+        # entries with 1 and with 5 twice; 2 is then absorbed into 1, which
+        # has no run with 5, so only the moved mark leads a read to fold (1, 5)
+        p, q = "alvarez", "okonkwo"
+        rec = lambda rid, *values: basic_record(rid, [(AttrOrigin(f"s{rid}", f"a{n}"), v)
+                                                      for n, v in enumerate(values)])
+        store = {1: rec(1, p), 2: rec(2, p, q), 3: rec(3, p, q), 5: rec(5, q)}
+        index, eager = build_index(store, XI), _eager_copy(store)
+        forest = EntityForest([*store, 99])
+        forest.union(1, 99)  # 1 holds two members, as 2 will
+        assert _merge_unread(store, forest, 2, 3, [(1, 1, 1.0), (2, 2, 1.0)], index, eager) == 2
+        assert index._unfolded == {2}
+        assert _merge_unread(store, forest, 1, 2, [(1, 1, 1.0)], index, eager) == 1
+        assert index._unfolded == {1}
+        assert len(index._runs[1][5]) == 6  # (1, 2, 1.0) twice
+        assert len(index) == len(eager)
+        assert index._runs == eager._runs
+
+    def test_plan_folds_before_it_skips_held_pairs(self):
+        # after 4 merges into 3, the run (1, 3) holds (1, 1, 1.0) twice; the
+        # plan holds 1 by then, and folded, (1, 3) is not multiple: deferred
+        store = {rid: basic_record(rid, [(AttrOrigin(f"s{rid}", "name"), "alvarez")])
+                 for rid in (1, 2, 3, 4)}
+        index = build_index(store, XI)
+        forest = EntityForest(store)
+        assert _merge_unread(store, forest, 3, 4, [(1, 1, 1.0)], index) == 3
+        assert index._unfolded == {3}
+        assert index.generate_candidates(0.5) == ([], [((1, 2), 1.0)])
+        assert index.generate_candidates(0.5) == reference_generate_candidates(index, 0.5, XI)
+
 
 def _dumped_lines(index):
-    buf = io.StringIO()
-    index.dump_jsonl(buf)
-    return [json.loads(line) for line in buf.getvalue().splitlines()]
+    return [json.loads(line) for line in _dumped_text(index).splitlines()]
 
 
 class TestInspection:

@@ -13,6 +13,7 @@ from entres.records import (
     merge_super_records,
     normalize_value,
 )
+from entres.similarity import FieldMatchingSet
 
 
 def _origin(attr="a", source="s1"):
@@ -150,6 +151,23 @@ class TestMerge:
         assert merged.fields[0].values == ["electronic", "electronics"]
         assert merged.fields[1] is b.fields[1]
         assert merged.fields[2].values == ["831-432"]
+
+    def test_matching_set_used_as_given(self, monkeypatch):
+        # a FieldMatchingSet was checked when built; merging does not build another
+        a, b = self._pair()
+        matching = FieldMatchingSet([(1, 1, 0.9)])
+
+        def rebuilt(self, pairs=()):
+            raise AssertionError("the matching was validated again")
+
+        monkeypatch.setattr(FieldMatchingSet, "__init__", rebuilt)
+        merged, _ = merge_super_records(a, b, matching, EntityForest([1, 6]))
+        assert merged.fields[0].values == ["electronics", "electronic"]
+
+    def test_plain_matching_checked(self):
+        a, b = self._pair()
+        with pytest.raises(ValueError, match="one-to-one"):
+            merge_super_records(a, b, [(1, 1, 0.9), (2, 1, 0.8)], EntityForest([1, 6]))
 
     def test_field_count_bound(self):
         rng = random.Random(9)
