@@ -13,21 +13,23 @@ made for its gram-set pair.  Only this module reads that layout; callers
 get triples from :meth:`ValuePairIndex.cal_bound` and
 :meth:`ValuePairIndex.iter_pairs`.  The runs sit in a symmetric run map:
 ``runs[a][b]`` and ``runs[b][a]`` are the same list, so a record's row
-holds all its runs.  A run that every read sees holds one entry per
-field pair, in no particular order; the inspection views sort it.
+holds all its runs.  A run's entries are in no particular order; the
+inspection views sort them.
+
+A run may hold a field pair more than once: the join reaches it once per
+value pair of a multi-valued field, and a merge appends.  The read folds
+it to the best entry per field pair: a bound or a pass plan stores the
+folded run, the size and the inspection views fold on the fly.  A field
+pair held twice always looks multiple, so only a multiple run is folded.
 
 Field similarity of a merged field is the maximum over its two parts, so
 a merge appends: it maps the absorbed record's field ids onto the merged
 record and does nothing else.  The surviving record keeps its fields and
 runs; the absorbed record's row is popped and each of its runs moves onto
 the survivor, appended to the run the survivor already has with the same
-record.  Until the next read folds it to the best entry per field pair,
-such a run may hold a field pair more than once.  The index marks each
-record whose runs may, and the next read that can see them (a pass plan,
-a bound on a marked record, the size, the inspection views) folds the
-marked rows, so a run that several merges of one pass touched is folded
-once.  Union by size absorbs the record with fewer members, so each entry
-is moved O(log n) times over a run.
+record, and folded by the next read, once for all the merges since.
+Union by size absorbs the record with fewer members, so each entry is
+moved O(log n) times over a run.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import json
 import math
 from collections import Counter, defaultdict
 from types import MappingProxyType
-from typing import IO, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .records import SuperRecord
 from .similarity import DEFAULT_Q, gram_jaccard, qgrams
@@ -80,13 +82,6 @@ def _triples(run: Run) -> Iterator[tuple[int, int, float]]:
     return zip(it, it, it)
 
 
-def _has_multiple(run: Run) -> bool:
-    """Whether a field on either side of ``run`` is covered by more than
-    one of its entries: then the bound of the run is not exact."""
-    n = len(run) // 3
-    return len(set(run[0::3])) < n or len(set(run[1::3])) < n
-
-
 def _fold(run: Run) -> Run:
     """One entry per field pair, holding its best similarity, in order of
     first appearance.  A run without repeats is returned as it is."""
@@ -109,8 +104,6 @@ class ValuePairIndex:
         self.store = store
         self.q = q
         self._runs: dict[int, dict[int, Run]] = {}  # rid -> other rid -> run
-        # records whose runs may hold a field pair twice: every such run has an end here
-        self._unfolded: set[int] = set()
 
     # -- construction -----------------------------------------------------
 
@@ -123,14 +116,14 @@ class ValuePairIndex:
         q: int = DEFAULT_Q,
     ) -> "ValuePairIndex":
         """Assemble an index from ``((rid, fid), (rid, fid), sim)`` field
-        pairs, either side first (no join performed); a field pair given
-        more than once keeps its best similarity."""
+        pairs, either side first (no join performed).  A field pair given
+        more than once is held more than once; the read folds it to its
+        best similarity."""
         index = cls(store, q)
         for left, right, sim in pairs:
             if left[0] == right[0]:
                 raise ValueError("indexed pairs must span two records")
             index._append((left,), (right,), sim)
-        index._fold_runs(index._runs)
         return index
 
     def _append(
@@ -139,8 +132,8 @@ class ValuePairIndex:
         """Append the field pair of each ``(rid, fid)`` label in ``lefts``
         with each label in ``rights`` of another record, at ``sim``, to the
         run of their record pair, smaller rid on the left; pairs within one
-        record are skipped.  A field pair given twice is held twice until
-        :meth:`_fold_runs` folds its run."""
+        record are skipped.  A field pair given twice is held twice, until
+        a read folds its run."""
         runs = self._runs
         for ri, fi in lefts:
             row = runs.get(ri, _NO_RUNS)
@@ -154,26 +147,33 @@ class ValuePairIndex:
                     run = row[rj] = runs.setdefault(rj, {})[ri] = []
                 run += (fi, fj, sim) if ri < rj else (fj, fi, sim)
 
-    def _fold_runs(self, rids: Collection[int]) -> None:
-        """Fold every run with an end in ``rids`` (see :func:`_fold`)."""
-        runs = self._runs
-        for i in rids:
-            row = runs.get(i, _NO_RUNS)
-            for j, run in row.items():
-                if i < j or j not in rids:  # a run with both ends in rids is folded once
-                    row[j] = runs[j][i] = _fold(run)
-
-    def _fold_pending(self) -> None:
-        """Fold the runs that merges appended to since the last read."""
-        self._fold_runs(self._unfolded)
-        self._unfolded.clear()
-
     # -- read operations --------------------------------------------------
 
     def __len__(self) -> int:
-        self._fold_pending()
-        # each run sits in two rows and holds three slots per entry
-        return sum(len(run) for row in self._runs.values() for run in row.values()) // 6
+        # three slots per entry; each run counted from its smaller rid's row
+        return sum(
+            len(_fold(run)) for i, row in self._runs.items() for j, run in row.items() if i < j
+        ) // 3
+
+    def _read(self, i: int, j: int) -> tuple[Run, bool]:
+        """The run of (i, j), ``i < j``, folded, and whether it has a
+        multiple field: a field on either side covered by more than one of
+        its entries, so that the bound of the run is not exact.
+
+        A field pair held twice covers both its fields twice, so only a
+        multiple run is folded; a fold that changed it is stored in both
+        rows.  Folding keeps the set of fields each side covers, so the
+        field counts taken before it hold for the folded run."""
+        run = self._runs.get(i, _NO_RUNS).get(j, [])
+        n = len(run) // 3
+        lefts, rights = len(set(run[0::3])), len(set(run[1::3]))
+        if lefts == rights == n:
+            return run, False
+        folded = _fold(run)
+        if folded is not run:
+            self._runs[i][j] = self._runs[j][i] = run = folded
+            n = len(run) // 3
+        return run, lefts < n or rights < n
 
     def _pairs(self) -> Iterator[tuple[int, int]]:
         """Every record pair with a run, ``(rid_1, rid_2)`` ascending."""
@@ -191,9 +191,7 @@ class ValuePairIndex:
         """
         if i >= j:
             raise ValueError("lookup requires i < j")
-        if i in self._unfolded or j in self._unfolded:
-            self._fold_pending()
-        run = self._runs.get(i, _NO_RUNS).get(j)
+        run, has_multiple = self._read(i, j)
         if not run:
             return BoundResult(0.0, (), False)
         # from a list, whose length is known: CPython's tuple() over an
@@ -210,7 +208,7 @@ class ValuePairIndex:
         # collisions can push the raw sum past m; the similarity itself
         # never exceeds 1, so clamp
         up = min(1.0, sum(sorted(up_by_left.values(), reverse=True)) / m)
-        return BoundResult(up, refined, _has_multiple(run))
+        return BoundResult(up, refined, has_multiple)
 
     def generate_candidates(
         self, delta: float
@@ -231,15 +229,14 @@ class ValuePairIndex:
         pass, when its records are what this pass's merges made them.
         Such a pair can only be a candidate if its run has a multiple
         field, so it is bounded only then; deferred direct pairs are not
-        bounded at all.
+        bounded at all.  That check reads the run as a bound does, folded,
+        since a field pair held twice would look multiple.
         """
         candidates: list[tuple[int, int]] = []
         direct: list[tuple[tuple[int, int], float]] = []
         held: set[int] = set()  # the records of the direct pairs planned so far
-        self._fold_pending()  # _has_multiple below reads the runs unbounded
-        runs = self._runs
         for i, j in self._pairs():
-            if (i in held or j in held) and not _has_multiple(runs[i][j]):
+            if (i in held or j in held) and not self._read(i, j)[1]:
                 continue  # deferred or pruned: neither is acted on this pass
             bound = self.cal_bound(i, j)
             if bound.up < delta:
@@ -264,21 +261,17 @@ class ValuePairIndex:
         its runs moves onto ``k`` in place: the absorbed field ids are
         mapped and put on ``k``'s side of the record pair, and where
         ``k`` already has a run with the same other record, the moved
-        entries are appended to it.  Nothing is folded here: ``k`` is
-        marked, and its runs may hold a field pair more than once until
-        the next read folds them to the best entry per field pair (a
-        matched field's similarity is the maximum over its two parts).
-        The map is one-to-one, so folding gives the same entries, in the
-        same order, whether it runs after each merge or once after many.
+        entries are appended to it.  Nothing is folded here: such a run
+        may hold a field pair more than once until a read folds it to the
+        best entry per field pair (a matched field's similarity is the
+        maximum over its two parts).  The map is one-to-one, so folding
+        gives the same entries, in the same order, whether it runs after
+        each merge or once after many.
         """
         if k not in (i, j):
             raise ValueError("the merged record keeps the rid of one of the two")
         gone = j if k == i else i
         runs = self._runs
-        unfolded = self._unfolded
-        if gone in unfolded:  # its moved runs may not be folded yet
-            unfolded.discard(gone)
-            unfolded.add(k)
         for x, run in runs.pop(gone, {}).items():
             del runs[x][gone]
             if x == k:
@@ -291,21 +284,19 @@ class ValuePairIndex:
             kept = runs[x].get(k)
             if kept:
                 kept += run  # the one list of both rows
-                unfolded.add(k)
             else:
                 runs[x][k] = runs.setdefault(k, {})[x] = run
 
     # -- inspection -------------------------------------------------------
 
     def _labelled(self, i: int, j: int) -> Iterator[IndexedPair]:
-        run = self._runs.get(i, _NO_RUNS).get(j, ())
+        run = _fold(self._runs.get(i, _NO_RUNS).get(j, []))
         for lf, rf, sim in sorted(_triples(run), key=lambda e: (-e[2], e[0], e[1])):
             yield IndexedPair(FieldLabel(i, lf), FieldLabel(j, rf), sim)
 
     def iter_pairs(self) -> Iterator[IndexedPair]:
         """All field pairs in index order: (rid_1, rid_2) ascending, then
         similarity descending, then field ids."""
-        self._fold_pending()
         for key in self._pairs():
             yield from self._labelled(*key)
 
@@ -391,10 +382,10 @@ def build_index(store: RecordStore, xi: float, q: int = DEFAULT_Q) -> ValuePairI
     are joined (see :func:`_similar_gram_sets`).  Fields sharing a set
     pair at ``gram_jaccard(g, g)`` (1.0); each similar set pair expands to
     all its cross-record field pairs, appended straight into their runs.
-    A field pair is reached once per pair of its values' gram sets, so
-    only a field holding more than one value can reach it twice: only the
-    runs of records with such a field are folded to the best value pair
-    per field pair.
+    A field pair is reached once per pair of its values' gram sets, so a
+    field holding more than one value can reach it twice; nothing is
+    folded here, the read folds such a run to the best value pair per
+    field pair.
 
     The cyclic garbage collector is paused while the join runs and is
     re-enabled afterwards only if it was enabled on entry, also when the
@@ -409,11 +400,8 @@ def build_index(store: RecordStore, xi: float, q: int = DEFAULT_Q) -> ValuePairI
     gc.disable()
     try:
         groups: dict[frozenset[str], list[tuple[int, int]]] = defaultdict(list)
-        multi_valued: set[int] = set()
         for rid in sorted(store):
             for fid, fld in enumerate(store[rid].fields, 1):
-                if len(fld.values) > 1:
-                    multi_valued.add(rid)
                 for v in fld.values:
                     groups[qgrams(v, q)].append((rid, fid))
 
@@ -426,7 +414,6 @@ def build_index(store: RecordStore, xi: float, q: int = DEFAULT_Q) -> ValuePairI
         sets = list(groups)
         for a, b, sim in _similar_gram_sets(sets, xi):
             index._append(groups[sets[a]], groups[sets[b]], sim)
-        index._fold_runs(multi_valued)
         return index
     finally:
         if enabled:

@@ -286,8 +286,8 @@ def eager_apply_merge(index: ValuePairIndex, i: int, j: int, k: int, field_map) 
     """The eager path for ``ValuePairIndex.apply_merge``, usable as the
     method itself: move the absorbed record's runs onto ``k`` as it does,
     but fold each moved run into the run ``k`` already holds with the same
-    record right away, so the index never holds a field pair twice and
-    marks nothing for a later fold."""
+    record right away, so no merge leaves a field pair held twice for a
+    later read to fold."""
     gone = j if k == i else i
     runs = index._runs
     for x, run in runs.pop(gone, {}).items():

@@ -14,7 +14,7 @@ import entres.engine as engine_module
 import entres.pair_index as pair_index
 from entres.engine import EngineConfig, ResolutionEngine
 from entres.matching import verify_pair
-from entres.pair_index import FieldLabel, ValuePairIndex, _similar_gram_sets, build_index
+from entres.pair_index import FieldLabel, ValuePairIndex, _fold, _similar_gram_sets, build_index
 from entres.records import (
     AttrOrigin,
     EntityForest,
@@ -129,6 +129,8 @@ class TestConstruction:
         multi = SuperRecord(multi_rid, [Field(values, {AttrOrigin("s2", "name")})])
         index = build_index({single.rid: single, multi.rid: multi}, XI)
         assert list(index.iter_pairs()) == [(FieldLabel(1, 1), FieldLabel(2, 1), best)]
+        assert index.cal_bound(1, 2) == (best, ((1, 1, best),), False)
+        assert index.generate_candidates(0.5) == ([], [((1, 2), best)])
 
     def test_entries_take_few_bytes(self):
         # a run holds three list slots per entry and no tuple: about 64
@@ -356,10 +358,21 @@ def _merge_and_update(store, index, i, j, forest, reference=False):
 
 
 def _eager_copy(store):
-    """An index of ``store`` whose merges fold at once (``eager_apply_merge``)."""
+    """An index of ``store`` that never holds a field pair twice: its built
+    runs are folded at once, and so is each merge (``eager_apply_merge``)."""
     eager = build_index(store, XI)
+    for a, row in eager._runs.items():
+        for b, run in row.items():
+            if a < b:
+                row[b] = eager._runs[b][a] = _fold(run)
     eager.apply_merge = functools.partial(eager_apply_merge, eager)
     return eager
+
+
+def _repeating(index):
+    """The record pairs whose run holds a field pair more than once."""
+    return sorted((a, b) for a, row in index._runs.items() for b, run in row.items()
+                  if a < b and len(_fold(run)) < len(run))
 
 
 def _merge_unread(store, forest, i, j, matching, *indexes):
@@ -400,7 +413,9 @@ class TestCalBound:
             ((1, 3), (2, 2), 0.7),
         ]
         index = ValuePairIndex.from_pairs(_six_field_store(), pairs)
-        assert index.cal_bound(1, 2).refined == ((3, 2, 1.0),)
+        assert index.cal_bound(1, 2) == (1 / 6, ((3, 2, 1.0),), False)
+        # a bound of 1/6: at a delta of 0.5 the pair would be pruned folded or not
+        assert index.generate_candidates(0.1) == ([], [((1, 2), 1 / 6)])
 
     def test_exact_when_no_multiple(self, customer_store):
         index = build_index(customer_store, XI)
@@ -631,15 +646,15 @@ class TestApplyMerge:
         (see ``eager_apply_merge``) with no read of the index in between:
         each matching comes from the records or from the copy.  Then read
         the index first with ``first_read`` and require that this read and
-        every other one equal the copy's, and that the runs do too, run for
-        run and entry for entry.  Returns how many merges absorbed a record
-        whose runs were not folded yet, and how many records were pending a
-        fold when the chain ended."""
+        every other one equal the copy's, and that each run, before the
+        reads and after them, folds to the copy's, entry for entry.  Returns
+        how many merges absorbed a record with a run that held a field pair
+        twice, and how many runs held one when the chain ended."""
         rng = random.Random(seed)
         store = random_store(rng, n_records, max_values=3)
         index, eager = build_index(store, XI), _eager_copy(store)
         forest = EntityForest(store)
-        absorbed_unfolded = 0
+        absorbed_repeating = 0
         last = None
         for _ in range(n_merges):
             if len(store) < 2:
@@ -652,19 +667,21 @@ class TestApplyMerge:
                 refined = reference_cal_bound(eager, i, j, XI)[1]
             else:
                 refined = eager.cal_bound(i, j).refined
-            marked = set(index._unfolded)
+            repeating = set(itertools.chain.from_iterable(_repeating(index)))
             last = _merge_unread(store, forest, i, j, _greedy_matching(refined), index, eager)
-            absorbed_unfolded += i + j - last in marked
-        pending = len(index._unfolded)
+            absorbed_repeating += i + j - last in repeating
+        pending = len(_repeating(index))
+        folded = lambda runs: {a: {b: _fold(run) for b, run in row.items()}
+                               for a, row in runs.items()}
+        assert folded(index._runs) == eager._runs
         assert INDEX_READS[first_read](index) == INDEX_READS[first_read](eager)
         for read in INDEX_READS.values():
             assert read(index) == read(eager)
-        assert not index._unfolded
-        assert index._runs == eager._runs
+        assert folded(index._runs) == eager._runs
         for a, row in index._runs.items():
             for b, run in row.items():
                 assert index._runs[b][a] is run
-        return absorbed_unfolded, pending
+        return absorbed_repeating, pending
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -684,7 +701,8 @@ class TestApplyMerge:
     def test_absorbed_record_hands_its_pending_fold_on(self):
         # 2 and 3 both hold p and q, so the survivor 2 holds each of its
         # entries with 1 and with 5 twice; 2 is then absorbed into 1, which
-        # has no run with 5, so only the moved mark leads a read to fold (1, 5)
+        # has no run with 5, so (1, 5) is the moved run as it was, and only
+        # its read can fold it
         p, q = "alvarez", "okonkwo"
         rec = lambda rid, *values: basic_record(rid, [(AttrOrigin(f"s{rid}", f"a{n}"), v)
                                                       for n, v in enumerate(values)])
@@ -693,11 +711,11 @@ class TestApplyMerge:
         forest = EntityForest([*store, 99])
         forest.union(1, 99)  # 1 holds two members, as 2 will
         assert _merge_unread(store, forest, 2, 3, [(1, 1, 1.0), (2, 2, 1.0)], index, eager) == 2
-        assert index._unfolded == {2}
+        assert _repeating(index) == [(1, 2), (2, 5)]
         assert _merge_unread(store, forest, 1, 2, [(1, 1, 1.0)], index, eager) == 1
-        assert index._unfolded == {1}
-        assert len(index._runs[1][5]) == 6  # (1, 2, 1.0) twice
+        assert index._runs[1][5] == [2, 1, 1.0, 2, 1, 1.0]
         assert len(index) == len(eager)
+        assert index.cal_bound(1, 5) == eager.cal_bound(1, 5)
         assert index._runs == eager._runs
 
     def test_plan_folds_before_it_skips_held_pairs(self):
@@ -708,7 +726,7 @@ class TestApplyMerge:
         index = build_index(store, XI)
         forest = EntityForest(store)
         assert _merge_unread(store, forest, 3, 4, [(1, 1, 1.0)], index) == 3
-        assert index._unfolded == {3}
+        assert index._runs[1][3] == [1, 1, 1.0, 1, 1, 1.0]
         assert index.generate_candidates(0.5) == ([], [((1, 2), 1.0)])
         assert index.generate_candidates(0.5) == reference_generate_candidates(index, 0.5, XI)
 
