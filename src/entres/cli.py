@@ -74,7 +74,7 @@ def _json_lines(path: str) -> Iterator[tuple[int, object]]:
                 continue
             try:
                 doc = _DECODER.decode(line)
-            except ValueError as exc:  # a JSONDecodeError or a rejected constant
+            except (ValueError, RecursionError) as exc:  # bad JSON, a rejected constant or deep nesting
                 why = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
                 raise InputError(f"line {lineno}: invalid JSON ({why})") from exc
             yield lineno, doc

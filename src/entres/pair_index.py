@@ -17,10 +17,11 @@ holds all its runs.  A run's entries are in no particular order; the
 inspection views sort them.
 
 A run may hold a field pair more than once: the join reaches it once per
-value pair of a multi-valued field, and a merge appends.  The read folds
-it to the best entry per field pair: a bound or a pass plan stores the
-folded run, the size and the inspection views fold on the fly.  A field
-pair held twice always looks multiple, so only a multiple run is folded.
+value pair of a multi-valued field, and a merge appends.  Every read of
+a run goes through :meth:`ValuePairIndex._read`, which folds it to the
+best entry per field pair and stores the fold: the bound, the pass plan,
+the size and the inspection views alike.  A field pair held twice always
+looks multiple, so only a multiple run is folded.
 
 Field similarity of a merged field is the maximum over its two parts, so
 a merge appends: it maps the absorbed record's field ids onto the merged
@@ -150,15 +151,14 @@ class ValuePairIndex:
     # -- read operations --------------------------------------------------
 
     def __len__(self) -> int:
-        # three slots per entry; each run counted from its smaller rid's row
-        return sum(
-            len(_fold(run)) for i, row in self._runs.items() for j, run in row.items() if i < j
-        ) // 3
+        # three slots per entry
+        return sum(len(self._read(i, j)[0]) for i, j in self._pairs()) // 3
 
     def _read(self, i: int, j: int) -> tuple[Run, bool]:
         """The run of (i, j), ``i < j``, folded, and whether it has a
         multiple field: a field on either side covered by more than one of
-        its entries, so that the bound of the run is not exact.
+        its entries, so that the bound of the run is not exact.  Every read
+        of a run's entries goes through here.
 
         A field pair held twice covers both its fields twice, so only a
         multiple run is folded; a fold that changed it is stored in both
@@ -192,8 +192,6 @@ class ValuePairIndex:
         if i >= j:
             raise ValueError("lookup requires i < j")
         run, has_multiple = self._read(i, j)
-        if not run:
-            return BoundResult(0.0, (), False)
         # from a list, whose length is known: CPython's tuple() over an
         # iterator guesses ten slots and shrinks the tuple, and then each
         # call counts one more young object towards a collection
@@ -289,16 +287,13 @@ class ValuePairIndex:
 
     # -- inspection -------------------------------------------------------
 
-    def _labelled(self, i: int, j: int) -> Iterator[IndexedPair]:
-        run = _fold(self._runs.get(i, _NO_RUNS).get(j, []))
-        for lf, rf, sim in sorted(_triples(run), key=lambda e: (-e[2], e[0], e[1])):
-            yield IndexedPair(FieldLabel(i, lf), FieldLabel(j, rf), sim)
-
     def iter_pairs(self) -> Iterator[IndexedPair]:
         """All field pairs in index order: (rid_1, rid_2) ascending, then
         similarity descending, then field ids."""
-        for key in self._pairs():
-            yield from self._labelled(*key)
+        for i, j in self._pairs():
+            run = self._read(i, j)[0]
+            for lf, rf, sim in sorted(_triples(run), key=lambda e: (-e[2], e[0], e[1])):
+                yield IndexedPair(FieldLabel(i, lf), FieldLabel(j, rf), sim)
 
     def dump_jsonl(self, fp: IO[str]) -> None:
         """One ``{"pid", "left": [rid, fid], "right": [rid, fid], "sim"}``

@@ -31,6 +31,9 @@ BLANK_AND_NULL = Path(__file__).resolve().parent / "data" / "blank_and_null.json
 # valid JSON that is not an object
 NOT_OBJECTS = [[1, 2], "x", 5, None, True]
 
+# a JSON value nested far past any recursion limit the decoder could be given
+DEEP = "[" * 100_000 + "]" * 100_000
+
 
 def write_jsonl(path, docs):
     path.write_text("".join(json.dumps(d) + "\n" for d in docs), encoding="utf-8")
@@ -79,6 +82,19 @@ class TestParseInput:
         p = tmp_path / "bad.jsonl"
         write_jsonl(p, [{"id": "a", "fields": []}])
         with pytest.raises(InputError, match="line 1"):
+            parse_input(str(p))
+
+    @pytest.mark.parametrize("fields", [[], {}, "name"], ids=["empty", "object", "string"])
+    def test_record_without_field_list_rejected(self, tmp_path, fields):
+        p = tmp_path / "bad.jsonl"
+        write_jsonl(p, [{"id": "a", "source": "s", "fields": fields}])
+        with pytest.raises(InputError, match="^line 1: record needs at least one field$"):
+            parse_input(str(p))
+
+    def test_field_entry_without_values_rejected(self, tmp_path):
+        p = tmp_path / "bad.jsonl"
+        write_jsonl(p, [{"id": "a", "source": "s", "fields": [{"attr": "x"}]}])
+        with pytest.raises(InputError, match="^line 1: malformed field entry: 'values'$"):
             parse_input(str(p))
 
     def test_duplicate_attribute_rejected(self, tmp_path):
@@ -240,6 +256,10 @@ class TestEvaluate:
     def test_missing_label_rejected(self):
         with pytest.raises(ValueError, match="without labels"):
             evaluate({"a": "x"}, {"a": "e1", "b": "e1"})
+
+    def test_empty_gold_rejected(self):
+        with pytest.raises(InputError, match="^empty ground truth$"):
+            evaluate({"a": "a"}, {})
 
     def test_matches_pair_enumeration_oracle(self):
         rng = random.Random(202)
@@ -503,8 +523,11 @@ class TestMain:
         assert capsys.readouterr().err.startswith("entres: [Errno 2] ")
         assert set(load_labels(str(out))) == {f"r{i}" for i in range(1, 7)}
 
-    @pytest.mark.parametrize("gold_text", [None, '{"id": "r1"}\n', "{oops\n"],
-                             ids=["missing", "no-entity", "bad-json"])
+    @pytest.mark.parametrize(
+        "gold_text",
+        [None, '{"id": "r1"}\n', "{oops\n", f'{{"id": {DEEP}}}\n', "\n \n"],
+        ids=["missing", "no-entity", "bad-json", "deep-json", "no-labels"],
+    )
     def test_bad_ground_truth_fails_before_resolving(self, tmp_path, capsys, monkeypatch, gold_text):
         gold, out = tmp_path / "gold.jsonl", tmp_path / "labels.jsonl"
         if gold_text is not None:
@@ -515,6 +538,15 @@ class TestMain:
             captured = capsys.readouterr()
             assert captured.out == "" and not out.exists()
             assert captured.err.startswith("entres: ") and captured.err.count("\n") == 1
+
+    def test_deeply_nested_input_fails_with_line(self, tmp_path, capsys):
+        p = tmp_path / "deep.jsonl"
+        good = CUSTOMERS.read_text().splitlines()[0]
+        p.write_text(f'{good}\n{{"id": "x", "source": "s", "fields": [{{"attr": "a", "values": {DEEP}}}]}}\n')
+        assert main(["--input", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("entres: line 2: invalid JSON (") and captured.err.count("\n") == 1
 
     def test_gold_naming_unknown_records_fails_cleanly(self, tmp_path, capsys):
         gold = tmp_path / "gold.jsonl"

@@ -254,7 +254,7 @@ class TestLookup:
 
     def test_missing_run_is_empty(self, customer_store):
         index = build_index(customer_store, XI)
-        assert index.cal_bound(5, 6).refined == ()
+        assert index.cal_bound(5, 6) == (0.0, (), False)
 
     def test_run_content(self, customer_store):
         index = build_index(customer_store, XI)
@@ -718,6 +718,13 @@ class TestApplyMerge:
         assert index.cal_bound(1, 5) == eager.cal_bound(1, 5)
         assert index._runs == eager._runs
 
+    def test_merged_record_must_be_one_of_the_two(self, customer_store):
+        index = build_index(customer_store, XI)
+        runs = {a: dict(row) for a, row in index._runs.items()}
+        with pytest.raises(ValueError, match="keeps the rid of one of the two"):
+            index.apply_merge(1, 6, 4, {})
+        assert index._runs == runs
+
     def test_plan_folds_before_it_skips_held_pairs(self):
         # after 4 merges into 3, the run (1, 3) holds (1, 1, 1.0) twice; the
         # plan holds 1 by then, and folded, (1, 3) is not multiple: deferred
@@ -736,6 +743,25 @@ def _dumped_lines(index):
 
 
 class TestInspection:
+    @pytest.mark.parametrize("read", sorted(INDEX_READS))
+    def test_every_read_stores_its_folds(self, read):
+        # (1, 2) holds the field pair (1, 1) twice and (2, 3) holds (2, 1)
+        # twice, as a multi-valued field or a merge leaves them
+        store = {rid: basic_record(rid, [(AttrOrigin(f"s{rid}", f"a{k}"), f"v{rid}{k}")
+                                         for k in range(3)]) for rid in (1, 2, 3)}
+        index = ValuePairIndex.from_pairs(store, [
+            ((1, 1), (2, 1), 0.6), ((1, 2), (2, 3), 1.0), ((1, 1), (2, 1), 0.9),
+            ((2, 2), (3, 1), 0.7), ((3, 1), (2, 2), 0.8),
+        ])
+        assert _repeating(index) == [(1, 2), (2, 3)]
+        INDEX_READS[read](index)
+        assert _repeating(index) == []
+        assert index._runs[1][2] == [1, 1, 0.9, 2, 3, 1.0]
+        assert index._runs[2][3] == [2, 1, 0.8]
+        for a, row in index._runs.items():
+            for b, run in row.items():
+                assert index._runs[b][a] is run
+
     def test_rows_are_numbered_in_order(self, customer_store):
         index = build_index(customer_store, XI)
         lines = _dumped_lines(index)

@@ -169,6 +169,14 @@ class TestMerge:
         with pytest.raises(ValueError, match="one-to-one"):
             merge_super_records(a, b, [(1, 1, 0.9), (2, 1, 0.8)], EntityForest([1, 6]))
 
+    @pytest.mark.parametrize("lf, rf", [(3, 1), (1, 3), (0, 1)])
+    def test_matching_naming_a_missing_field_rejected(self, lf, rf):
+        a, b = self._pair()
+        forest = EntityForest([1, 6])
+        with pytest.raises(ValueError, match=f"^matching references missing field \\({lf}, {rf}\\)$"):
+            merge_super_records(a, b, [(lf, rf, 0.9)], forest)
+        assert forest.find(6) == 6
+
     def test_field_count_bound(self):
         rng = random.Random(9)
         for _ in range(50):
@@ -185,6 +193,10 @@ class TestMerge:
 
 
 class TestFieldInvariants:
+    def test_record_without_fields_rejected(self):
+        with pytest.raises(ValueError, match="at least one field"):
+            SuperRecord(1, [])
+
     def test_empty_field_rejected(self):
         with pytest.raises(ValueError):
             Field(values=[])
