@@ -109,8 +109,11 @@ def _text(value: object, what: str, where: str, *what_args: object) -> str:
     return str(value)
 
 
-def record_from_doc(doc: object, rid: int, lineno: int = 0) -> tuple[str, SuperRecord]:
-    """Parse one input document, a JSON object, into a basic record.
+def record_from_doc(
+    doc: object, rid: int, lineno: int, origin_sets: dict[tuple[str, str], frozenset[AttrOrigin]]
+) -> tuple[str, SuperRecord]:
+    """Parse one input document, a JSON object, on line ``lineno`` of its
+    file, into a basic record.
 
     Values are normalized; JSON ``null`` and values blank after
     normalization are dropped, since an absent value is no evidence that
@@ -121,8 +124,15 @@ def record_from_doc(doc: object, rid: int, lineno: int = 0) -> tuple[str, SuperR
     null, a list or an object there is rejected.  Two attributes of one
     record whose names are equal ignoring case are rejected as a repeated
     attribute.
+
+    ``origin_sets`` holds the file's origin sets, one
+    ``frozenset([AttrOrigin(source, attr)])`` per ``(source, attr)`` text
+    pair met so far; each field takes its pair's set from there, and a
+    pair met for the first time adds its set.  So every field of one
+    source attribute shares one set.  The key is the exact text, so
+    ``Name`` and ``name`` stay two attributes.
     """
-    where = f"line {lineno}: " if lineno else ""
+    where = f"line {lineno}: "
     doc = _object(doc, "a record", where)
     try:
         ext_id = _text(doc["id"], "key 'id' holds", where)
@@ -132,7 +142,7 @@ def record_from_doc(doc: object, rid: int, lineno: int = 0) -> tuple[str, SuperR
         raise InputError(f"{where}missing key {exc}") from exc
     if not isinstance(raw_fields, list) or not raw_fields:
         raise InputError(f"{where}record needs at least one field")
-    items = []
+    kept: list[Field] = []
     seen_attrs: set[str] = set()
     for fld in raw_fields:
         fld = _object(fld, "a field entry", where)
@@ -156,20 +166,27 @@ def record_from_doc(doc: object, rid: int, lineno: int = 0) -> tuple[str, SuperR
             if nv:
                 normalized[nv] = None
         if normalized:
-            items.append((AttrOrigin(source=source, attr=attr), list(normalized)))
-    if not items:
+            origins = origin_sets.get((source, attr))
+            if origins is None:
+                origins = origin_sets[source, attr] = frozenset([AttrOrigin(source, attr)])
+            kept.append(Field(values=list(normalized), origins=origins))
+    if not kept:
         raise InputError(f"{where}record has no value left after dropping blank and null ones")
-    rec = SuperRecord(rid, [Field(values=vals, origins=frozenset([origin])) for origin, vals in items])
-    return ext_id, rec
+    return ext_id, SuperRecord(rid, kept)
 
 
 def parse_input(path: str) -> ParsedRecords:
-    """Read a JSON-lines record file into a store of basic records."""
+    """Read a JSON-lines record file into a store of basic records.
+
+    Fields of one source attribute share one origin set, kept for the
+    file and dropped on return (see :func:`record_from_doc`): a file
+    holds many records of few schemas, so most fields repeat an origin."""
     store: RecordStore = {}
     ids: dict[int, str] = {}
     seen_ids: set[str] = set()
+    origin_sets: dict[tuple[str, str], frozenset[AttrOrigin]] = {}
     for rid, (lineno, doc) in enumerate(_json_lines(path), 1):
-        ext_id, rec = record_from_doc(doc, rid, lineno)
+        ext_id, rec = record_from_doc(doc, rid, lineno, origin_sets)
         if ext_id in seen_ids:
             raise InputError(f"line {lineno}: duplicate record id {ext_id!r}")
         seen_ids.add(ext_id)

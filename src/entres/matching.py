@@ -77,28 +77,47 @@ def _km_square(weight: list[list[float]]) -> list[int]:
     ly = [0.0] * n
     link = [-1] * n
 
+    def augment(x: int) -> bool:
+        """Depth-first search for an augmenting path from ``x`` over tight
+        edges, flipping ``link`` along it if found.  It keeps its own
+        stack, so a long search costs no recursion: a frame is a left
+        vertex and the next right vertex it scans, and a tight edge to a
+        matched ``y`` pushes ``link[y]``.  Vertices are marked and
+        ``slack`` relaxed in the order a recursive search would."""
+        stack = [[x, 0]]
+        visx[x] = True
+        while stack:
+            frame = stack[-1]
+            u, y = frame
+            while y < n:
+                if not visy[y]:
+                    gap = lx[u] + ly[y] - weight[u][y]
+                    if gap < _EPS:
+                        visy[y] = True
+                        if link[y] == -1:
+                            # each frame's vertex takes the y it pushed through
+                            link[y] = u
+                            for v, next_y in stack[:-1]:
+                                link[next_y - 1] = v
+                            return True
+                        break
+                    if slack[y] > gap:
+                        slack[y] = gap
+                y += 1
+            if y < n:
+                frame[1] = y + 1
+                visx[link[y]] = True
+                stack.append([link[y], 0])
+            else:
+                stack.pop()
+        return False
+
     for x in range(n):
         slack = [float("inf")] * n
         while True:
             visx = [False] * n
             visy = [False] * n
-
-            def dfs(u: int) -> bool:
-                visx[u] = True
-                for y in range(n):
-                    if visy[y]:
-                        continue
-                    gap = lx[u] + ly[y] - weight[u][y]
-                    if gap < _EPS:
-                        visy[y] = True
-                        if link[y] == -1 or dfs(link[y]):
-                            link[y] = u
-                            return True
-                    elif slack[y] > gap:
-                        slack[y] = gap
-                return False
-
-            if dfs(x):
+            if augment(x):
                 break
             d = min(slack[y] for y in range(n) if not visy[y])
             for u in range(n):

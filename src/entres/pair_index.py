@@ -21,7 +21,8 @@ value pair of a multi-valued field, and a merge appends.  Every read of
 a run goes through :meth:`ValuePairIndex._read`, which folds it to the
 best entry per field pair and stores the fold: the bound, the pass plan,
 the size and the inspection views alike.  A field pair held twice always
-looks multiple, so only a multiple run is folded.
+looks multiple, so only a multiple run is folded, and a sparse one only
+if it holds a repeat.
 
 Field similarity of a merged field is the maximum over its two parts, so
 a merge appends: it maps the absorbed record's field ids onto the merged
@@ -161,14 +162,23 @@ class ValuePairIndex:
         of a run's entries goes through here.
 
         A field pair held twice covers both its fields twice, so only a
-        multiple run is folded; a fold that changed it is stored in both
-        rows.  Folding keeps the set of fields each side covers, so the
-        field counts taken before it hold for the folded run."""
+        multiple run can need a fold; a fold that changed it is stored in
+        both rows.  Folding keeps the set of fields each side covers, so
+        the field counts taken before it hold for the folded run.
+
+        A run with no more entries than fields on its two sides is first
+        tested for a repeated field pair, and is folded only if it holds
+        one.  Look-alike fields make such sparse runs without repeats; a
+        merge appends a run whose field pairs the survivor's run mostly
+        holds already, which makes a denser run that nearly always
+        repeats one, and the test would only add to its fold."""
         run = self._runs.get(i, _NO_RUNS).get(j, [])
         n = len(run) // 3
         lefts, rights = len(set(run[0::3])), len(set(run[1::3]))
         if lefts == rights == n:
             return run, False
+        if n <= lefts + rights and len(set(zip(run[0::3], run[1::3]))) == n:
+            return run, True
         folded = _fold(run)
         if folded is not run:
             self._runs[i][j] = self._runs[j][i] = run = folded
@@ -374,7 +384,9 @@ def build_index(store: RecordStore, xi: float, q: int = DEFAULT_Q) -> ValuePairI
 
     Similarity depends on a value only through its gram set, so fields are
     grouped by the gram sets of their values and only the distinct sets
-    are joined (see :func:`_similar_gram_sets`).  Fields sharing a set
+    are joined (see :func:`_similar_gram_sets`).  Near-duplicate records
+    repeat most values, so each distinct value's gram set is made once
+    per call, kept in a dict dropped on return.  Fields sharing a set
     pair at ``gram_jaccard(g, g)`` (1.0); each similar set pair expands to
     all its cross-record field pairs, appended straight into their runs.
     A field pair is reached once per pair of its values' gram sets, so a
@@ -394,11 +406,15 @@ def build_index(store: RecordStore, xi: float, q: int = DEFAULT_Q) -> ValuePairI
     enabled = gc.isenabled()
     gc.disable()
     try:
+        grams: dict[str, frozenset[str]] = {}  # value -> its gram set
         groups: dict[frozenset[str], list[tuple[int, int]]] = defaultdict(list)
         for rid in sorted(store):
             for fid, fld in enumerate(store[rid].fields, 1):
                 for v in fld.values:
-                    groups[qgrams(v, q)].append((rid, fid))
+                    g = grams.get(v)
+                    if g is None:
+                        g = grams[v] = qgrams(v, q)
+                    groups[g].append((rid, fid))
 
         index = ValuePairIndex(store, q)
         for g, labels in groups.items():

@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from functools import lru_cache
 
@@ -153,6 +154,24 @@ class TestKuhnMunkres:
             if not edges:
                 continue
             assert weight(km_max_weight(graph_of(edges))) == pytest.approx(oracle_max_weight(nl, nr, tuple(map(tuple, w))))
+
+    def test_long_augmenting_path_needs_no_recursion(self):
+        # left field x is similar to right fields x - 1 and x: each new left
+        # field first tries x - 1, held by left field x - 1, which tries
+        # x - 2, and so on, so the search runs a hundred levels deep at the
+        # last field before it takes its free right field x
+        n = 100
+        edges = [(x, y, 1.0) for x in range(1, n + 1) for y in (x - 1, x) if y >= 1]
+        depth, frame = 0, sys._getframe()
+        while frame:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            matching = km_max_weight(build_graph(edges))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert matching == [(x, x, 1.0) for x in range(1, n + 1)]
 
     def test_decomposition_equals_whole_graph_km(self):
         # settling the degree-1/degree-1 edges apart and running KM on the

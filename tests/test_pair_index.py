@@ -75,8 +75,9 @@ XI_RATIOS = {1 / 3: (1, 3), 0.5: (1, 2), 0.6: (3, 5), 2 / 3: (2, 3), 0.7: (7, 10
 
 @st.composite
 def join_cases(draw):
-    """Small stores full of values shorter than q and values repeated
-    within and across records, plus two values whose gram sets
+    """Small stores full of values shorter than q, values repeated
+    within and across records, and distinct values sharing one gram set,
+    plus two values whose gram sets
     score exactly xi: prefixes of a run of distinct letters, holding
     k*num and k*den grams, the first set inside the second."""
     q = draw(st.integers(1, 3))
@@ -85,7 +86,8 @@ def join_cases(draw):
     k = draw(st.integers(1, 2))
     letters = string.ascii_letters
     on_xi = [letters[: k * num + q - 1], letters[: k * den + q - 1]]
-    vocab = on_xi + ["a", "b", "ab", "ba", "aab", "abab", "bab", "abc"]
+    # "abab"/"baba" and "aab"/"aaab" are two values with one gram set at q = 2
+    vocab = on_xi + ["a", "b", "ab", "ba", "aab", "aaab", "abab", "baba", "bab", "abc"]
     value = st.one_of(st.sampled_from(vocab), st.text("abc", min_size=1, max_size=5))
     field_values = st.lists(value, min_size=1, max_size=3, unique=True)
     records = draw(st.lists(st.lists(field_values, min_size=1, max_size=3), min_size=2, max_size=7))
@@ -98,6 +100,46 @@ def join_cases(draw):
         for rid, fields in enumerate(records, 1)
     }
     return store, xi, q
+
+
+def per_occurrence_index(store, xi, q=2):
+    """``build_index`` with one ``qgrams`` call per value occurrence, in
+    the same walk (rid, then field, then value): the oracle for its gram
+    set cache, which must leave groups, runs and run order as they are."""
+    groups = {}
+    for rid in sorted(store):
+        for fid, fld in enumerate(store[rid].fields, 1):
+            for v in fld.values:
+                groups.setdefault(qgrams(v, q), []).append((rid, fid))
+    index = ValuePairIndex(store, q)
+    for g, labels in groups.items():
+        for pos, label in enumerate(labels):
+            index._append((label,), labels[pos + 1 :], gram_jaccard(g, g))
+    sets = list(groups)
+    for a, b, sim in _similar_gram_sets(sets, xi):
+        index._append(groups[sets[a]], groups[sets[b]], sim)
+    return index
+
+
+def raw_runs(index):
+    """The index's run map with its row and run order, as built."""
+    return [(a, list(row.items())) for a, row in index._runs.items()]
+
+
+def repeating_store():
+    """Values repeated across records and fields, and distinct values that
+    share one gram set at q = 2 ("abab"/"baba", "aab"/"aaab")."""
+    rows = [
+        [["bush", "abab"], ["aab"], ["bush"]],
+        [["baba"], ["bush", "aaab"], ["chicago"]],
+        [["chicag", "bush"], ["abab", "aab"]],
+        [["aaab"], ["baba", "chicago"], ["bush"]],
+    ]
+    return {
+        rid: SuperRecord(rid, [Field(vals, {AttrOrigin(f"s{rid}", f"a{fid}")})
+                               for fid, vals in enumerate(fields, 1)])
+        for rid, fields in enumerate(rows, 1)
+    }
 
 
 class TestConstruction:
@@ -176,6 +218,37 @@ class TestConstruction:
         for left, right, sim in pairs:
             assert sim == simf(store[left.rid].fields[left.fid - 1],
                                store[right.rid].fields[right.fid - 1], q)
+
+    def test_repeated_values_match_nested_loop_and_per_occurrence_build(self):
+        store = repeating_store()
+        index = build_index(store, XI)
+        oracle = per_occurrence_index(store, XI)
+        assert raw_runs(index) == raw_runs(oracle)
+        assert list(index.iter_pairs()) == list(oracle.iter_pairs())
+        assert set(index.iter_pairs()) == brute_force_pairs(store, XI)
+
+    @settings(max_examples=250, deadline=None)
+    @given(join_cases())
+    def test_gram_set_cache_matches_per_occurrence_build(self, case):
+        store, xi, q = case
+        index = build_index(store, xi, q)
+        oracle = per_occurrence_index(store, xi, q)
+        assert raw_runs(index) == raw_runs(oracle)
+        assert list(index.iter_pairs()) == list(oracle.iter_pairs())
+
+    def test_qgrams_called_once_per_distinct_value(self, monkeypatch):
+        store = repeating_store()
+        calls = []
+
+        def counted(value, q):
+            calls.append(value)
+            return qgrams(value, q)
+
+        monkeypatch.setattr(pair_index, "qgrams", counted)
+        build_index(store, XI)
+        values = [v for rec in store.values() for fld in rec.fields for v in fld.values]
+        assert len(values) > len(set(values))
+        assert sorted(calls) == sorted(set(values))
 
     @settings(max_examples=250, deadline=None)
     @given(join_cases())
@@ -416,6 +489,35 @@ class TestCalBound:
         assert index.cal_bound(1, 2) == (1 / 6, ((3, 2, 1.0),), False)
         # a bound of 1/6: at a delta of 0.5 the pair would be pruned folded or not
         assert index.generate_candidates(0.1) == ([], [((1, 2), 1 / 6)])
+
+    def test_sparse_run_without_repeat_is_not_folded(self, monkeypatch):
+        # "bushel" is similar to "bush" (3/5) and to "bushy" (1/2): its field
+        # covers two field pairs, each held once, two entries over three fields
+        store = {1: basic_record(1, [(AttrOrigin("s1", "name"), "bushel")]),
+                 2: basic_record(2, [(AttrOrigin("s2", "a"), "bush"),
+                                     (AttrOrigin("s2", "b"), "bushy")])}
+        index = build_index(store, XI)
+        folded = []
+        real_fold = pair_index._fold
+        monkeypatch.setattr(pair_index, "_fold", lambda run: folded.append(run) or real_fold(run))
+        bound = index.cal_bound(1, 2)
+        assert bound.has_multiple and not folded
+        assert (bound.up, set(bound.refined), bound.has_multiple) == reference_cal_bound(
+            index, 1, 2, XI
+        )
+        # a run holding a field pair twice is folded, once
+        index = ValuePairIndex.from_pairs(_six_field_store(), [((1, 3), (2, 2), 0.7),
+                                                               ((1, 3), (2, 2), 1.0)])
+        assert index.cal_bound(1, 2) == (1 / 6, ((3, 2, 1.0),), False)
+        assert index.cal_bound(1, 2) == (1 / 6, ((3, 2, 1.0),), False)
+        assert len(folded) == 1
+        # a dense run, six entries over five fields, goes to the fold, which
+        # keeps it as it is when no field pair repeats
+        dense = [((1, lf), (2, rf), 0.5 + lf / 10 + rf / 100) for lf in (1, 2, 3) for rf in (1, 2)]
+        index = ValuePairIndex.from_pairs(_six_field_store(), dense)
+        bound = index.cal_bound(1, 2)
+        assert len(folded) == 2 and bound.has_multiple
+        assert bound.refined == tuple((lf, rf, sim) for (_, lf), (_, rf), sim in dense)
 
     def test_exact_when_no_multiple(self, customer_store):
         index = build_index(customer_store, XI)
