@@ -22,8 +22,8 @@ def main() -> None:
     print("== the first pass's plan (xi = 0.5, delta = 0.5) ==")
     index = build_index(parsed.store, xi=0.5)
     candidates, direct = index.generate_candidates(0.5)
-    for (i, j), sim in direct:
-        print(f"  direct    ({parsed.ids[i]}, {parsed.ids[j]})  sim = {sim:.4f}")
+    for (i, j), bound in direct:  # exact bound: its refined set is the merge's matching
+        print(f"  direct    ({parsed.ids[i]}, {parsed.ids[j]})  sim = {bound.up:.4f}")
     for i, j in candidates:
         bound = index.cal_bound(i, j)
         print(

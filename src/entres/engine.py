@@ -1,15 +1,15 @@
 """The resolution driver: iterate candidate generation, direct merges,
 verification, schema voting and merging until no merge happens.
 
-One iteration = one candidate-generation pass.  Direct pairs (upper
-bound exact) are merged without verification; candidates go through the
-bipartite matching.  The pass plan holds record-disjoint direct pairs: a
-direct pair with a record that an earlier direct pair of the pass holds
-is deferred, without being bounded, and is simply regenerated next
-round, when its bound describes the merged record.  Candidates are
-re-rooted through the union-find before verification, which is sound
-because every surviving field pair stays reachable under the merged
-roots.
+One iteration = one candidate-generation pass.  The pass plan bounds
+each pair once and hands a direct pair (upper bound exact) its bound:
+the pair merges on the bound's refined set, unverified.  Candidates go
+through the bipartite matching.  Direct pairs of a pass share no record:
+one with a record that an earlier direct pair holds is deferred, without
+being bounded, and regenerated next round, when its bound describes the
+merged record.  Candidates are re-rooted through the union-find before
+verification, which is sound because every surviving field pair stays
+reachable under the merged roots.
 """
 
 from __future__ import annotations
@@ -108,9 +108,9 @@ class ResolutionEngine:
         candidates, direct = self.index.generate_candidates(cfg.delta)
         merges = 0
 
-        for (i, j), _score in direct:
-            # the plan is record-disjoint: no merge of this pass changed the pair
-            self.merge_pair(i, j, FieldMatchingSet(self.index.cal_bound(i, j).refined))
+        for (i, j), bound in direct:
+            # the plan is record-disjoint: no merge of this pass touched the pair's run or records
+            self.merge_pair(i, j, FieldMatchingSet(bound.refined))
             merges += 1
 
         seen: set[tuple[int, int]] = set()

@@ -220,28 +220,28 @@ class ValuePairIndex:
 
     def generate_candidates(
         self, delta: float
-    ) -> tuple[list[tuple[int, int]], list[tuple[tuple[int, int], float]]]:
+    ) -> tuple[list[tuple[int, int]], list[tuple[tuple[int, int], BoundResult]]]:
         """The plan of one pass: a walk over the index runs in
         ``(rid_1, rid_2)`` order.
 
         Returns (candidates, direct): pairs whose upper bound reaches
-        ``delta`` and need verification, and pairs whose bound is exact
-        (no multiple field on either side) so their similarity is already
-        known.  Pairs with upper bound below ``delta`` are pruned.  The
-        range of ``delta`` is checked by
-        :class:`~entres.engine.EngineConfig`.
+        ``delta`` and need verification, and ``((i, j), bound)`` for each
+        pair whose bound is exact (no multiple field on either side), so
+        that its refined set is its field matching: the engine merges it on
+        that set.  Pairs bounded below ``delta`` are pruned; the range of
+        ``delta`` is checked by :class:`~entres.engine.EngineConfig`.
 
         A record takes part in at most one direct merge per pass, so
-        ``direct`` is record-disjoint: a pair with a record that an
-        earlier direct pair of the walk holds is deferred to the next
-        pass, when its records are what this pass's merges made them.
-        Such a pair can only be a candidate if its run has a multiple
-        field, so it is bounded only then; deferred direct pairs are not
-        bounded at all.  That check reads the run as a bound does, folded,
+        ``direct`` is record-disjoint and no merge of the pass touches a
+        planned pair: a pair with a record that an earlier direct pair of
+        the walk holds is deferred to the next pass, when its records are
+        what this pass's merges made them.  Such a pair is bounded only if
+        its run has a multiple field, since only then can it be a
+        candidate.  That check reads the run as a bound does, folded,
         since a field pair held twice would look multiple.
         """
         candidates: list[tuple[int, int]] = []
-        direct: list[tuple[tuple[int, int], float]] = []
+        direct: list[tuple[tuple[int, int], BoundResult]] = []
         held: set[int] = set()  # the records of the direct pairs planned so far
         for i, j in self._pairs():
             if (i in held or j in held) and not self._read(i, j)[1]:
@@ -252,7 +252,7 @@ class ValuePairIndex:
             if bound.has_multiple:
                 candidates.append((i, j))
             else:
-                direct.append(((i, j), bound.up))
+                direct.append(((i, j), bound))
                 held.update((i, j))
         return candidates, direct
 

@@ -186,32 +186,44 @@ def reference_cal_bound(
 
 def reference_generate_candidates(
     index: ValuePairIndex, delta: float, xi: float
-) -> tuple[list[tuple[int, int]], list[tuple[tuple[int, int], float]]]:
+) -> tuple[list[tuple[int, int]], list[tuple[tuple[int, int], BoundResult]]]:
     """The simple path for ``ValuePairIndex.generate_candidates``: bound
     every record pair of the store with :func:`reference_cal_bound` and
     classify it as pruned, candidate or direct, then walk the direct pairs
     in order and drop each one with a record that a kept direct pair
-    already holds, as the engine's merge loop once did."""
+    already holds, as the engine's merge loop once did.  Each direct pair
+    comes with its bound, refined set sorted; compare a plan of the index
+    through :func:`sorted_plan`."""
     rids = sorted(index.store)
     candidates: list[tuple[int, int]] = []
-    direct: list[tuple[tuple[int, int], float]] = []
+    direct: list[tuple[tuple[int, int], BoundResult]] = []
     for a, i in enumerate(rids):
         for j in rids[a + 1 :]:
-            up, _refined, has_multiple = reference_cal_bound(index, i, j, xi)
+            up, refined, has_multiple = reference_cal_bound(index, i, j, xi)
             if up < delta:
                 continue
             if has_multiple:
                 candidates.append((i, j))
             else:
-                direct.append(((i, j), up))
+                direct.append(((i, j), BoundResult(up, tuple(sorted(refined)), has_multiple)))
     touched: set[int] = set()
     kept = []
-    for (i, j), up in direct:
+    for (i, j), bound in direct:
         if i in touched or j in touched:
             continue
-        kept.append(((i, j), up))
+        kept.append(((i, j), bound))
         touched.update((i, j))
     return candidates, kept
+
+
+def sorted_plan(plan):
+    """A pass plan with each direct pair's refined set sorted, as
+    :func:`reference_generate_candidates` gives it: the index hands the
+    entries of a run in run order."""
+    candidates, direct = plan
+    return candidates, [
+        (key, bound._replace(refined=tuple(sorted(bound.refined)))) for key, bound in direct
+    ]
 
 
 def reference_merge_super_records(

@@ -380,6 +380,64 @@ class TestAppendOnlyMerge:
         assert result.merges > 0 and folds > 0
 
 
+class TestOnePassPlan:
+    """A pass bounds each direct pair once: the plan bounds the pairs it
+    walks and hands each direct pair its bound, and the engine merges the
+    pair on that bound.  Only verification bounds a pair again, under the
+    candidate's merged roots."""
+
+    @staticmethod
+    def counted_run(store, monkeypatch):
+        """Run ``store``, counting ``cal_bound`` calls made inside and
+        outside ``generate_candidates``, direct pairs planned and
+        ``verify_pair`` calls."""
+        counts = dict.fromkeys(("plan", "elsewhere", "direct", "verify"), 0)
+        in_plan = False
+        real_bound, real_plan = ValuePairIndex.cal_bound, ValuePairIndex.generate_candidates
+        real_verify = engine_module.verify_pair
+
+        def cal_bound(self, i, j):
+            counts["plan" if in_plan else "elsewhere"] += 1
+            return real_bound(self, i, j)
+
+        def generate_candidates(self, delta):
+            nonlocal in_plan
+            in_plan = True
+            try:
+                plan = real_plan(self, delta)
+            finally:
+                in_plan = False
+            counts["direct"] += len(plan[1])
+            return plan
+
+        def verify_pair(*args):
+            counts["verify"] += 1
+            return real_verify(*args)
+
+        monkeypatch.setattr(ValuePairIndex, "cal_bound", cal_bound)
+        monkeypatch.setattr(ValuePairIndex, "generate_candidates", generate_candidates)
+        monkeypatch.setattr(engine_module, "verify_pair", verify_pair)
+        return run(dict(store)), counts
+
+    def test_unverified_run_bounds_only_in_the_plan(self, monkeypatch):
+        result, counts = self.counted_run(clustered_corpus(30, 8)[0], monkeypatch)
+        assert counts["verify"] == 0 and counts["direct"] == result.merges > 0
+        assert counts["plan"] > 0 and counts["elsewhere"] == 0
+
+    @pytest.mark.parametrize("clusters", [False, True], ids=["lookalike", "with_clusters"])
+    def test_verification_is_the_only_other_bound(self, clusters, monkeypatch):
+        # every look-alike pair is verified; the records of a clustered
+        # corpus, added under fresh ids, merge directly in the same run
+        store = lookalike_store(20, 0)
+        if clusters:
+            offset = max(store)
+            for rec in clustered_corpus(10, 8)[0].values():
+                store[rec.rid + offset] = SuperRecord(rec.rid + offset, rec.fields)
+        result, counts = self.counted_run(store, monkeypatch)
+        assert counts["verify"] > 0 and (counts["direct"] > 0) == clusters
+        assert counts["elsewhere"] == counts["verify"]
+
+
 def with_shuffled_ids(store, rng):
     """The same records under randomly permuted record ids, with the map
     from each new id back to the old one."""
