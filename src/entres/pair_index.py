@@ -40,9 +40,10 @@ import gc
 import itertools
 import json
 import math
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from types import MappingProxyType
-from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import IO, Collection, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .records import SuperRecord
 from .similarity import DEFAULT_Q, gram_jaccard, qgrams
@@ -188,7 +189,8 @@ class ValuePairIndex:
     def _pairs(self) -> Iterator[tuple[int, int]]:
         """Every record pair with a run, ``(rid_1, rid_2)`` ascending."""
         for i in sorted(self._runs):
-            for j in sorted(j for j in self._runs[i] if j > i):
+            row = sorted(self._runs[i])
+            for j in row[bisect_right(row, i) :]:
                 yield i, j
 
     def cal_bound(self, i: int, j: int) -> BoundResult:
@@ -335,45 +337,98 @@ def _min_overlap(size: int, xi: float) -> int:
 
 
 def _similar_gram_sets(
-    sets: list[frozenset[str]], xi: float
+    sets: Sequence[Collection[Hashable]], xi: float
 ) -> Iterator[tuple[int, int, float]]:
     """Positions ``(a, b, sim)`` of every pair of distinct non-empty gram
     sets with ``gram_jaccard >= xi``: a prefix join that counts the prefix
     grams a pair shares before scoring it (the ℓ-prefix scheme of Wang,
-    Li and Feng, with ℓ = ``_PREFIX_GRAMS`` = 2), plus size filtering.
+    Li and Feng, with ℓ = ``_PREFIX_GRAMS`` = 2), plus size filtering and
+    the shorter index prefix of Bayardo, Ma and Srikant's size-ordered
+    join.  A set is any collection of distinct, mutually ordered grams:
+    a frozenset of strings, or the sorted tuple of gram ids that
+    :func:`build_index` holds.
 
-    Grams are ranked rarest first, which keeps posting lists short.  A
-    pair reaching ``xi`` shares at least ``need = _min_overlap(|g|)``
-    grams, for either of its sets ``g``.  When ``need >= 2``, let c1 < c2
-    be the pair's two lowest-ranked common grams: in each set, c2 is
-    followed by at least ``need - 2`` more common grams, so both lie
-    within that set's first ``|g| - need + 2`` ranked grams, its prefix.
-    When ``need`` is 1, the prefix is the whole set and holds the one
-    common gram needed.  Sets are visited by increasing size; each counts,
-    per partner already indexed, the grams of its own prefix under which
-    the partner is indexed, and is then indexed under its prefix.  So
-    every qualifying pair is met once, when its larger set probes, with
-    at least ``min(2, need)`` hits, and no per-set state is kept.  A
-    partner with fewer hits, or smaller than ``need``, cannot qualify and
-    is not scored.
+    Grams are ranked rarest first, which keeps posting lists short, and
+    ties go by the gram itself, so no rank depends on the iteration order
+    of a set.
+    A pair reaching ``xi`` shares at least ``need = _min_overlap(|g|,
+    xi)`` grams, for either of its sets ``g``.  When ``need >= 2``, let
+    c1 < c2 be the pair's two lowest-ranked common grams: in each set, c2
+    is followed by at least ``need - 2`` more common grams, so both lie
+    within that set's first ``|g| - need + 2`` ranked grams.  When
+    ``need`` is 1, that prefix is the whole set and holds the one common
+    gram needed.
+
+    Sets are visited by increasing size; each counts, per partner
+    already indexed, the grams of its probe prefix (``|b| - need + 2``)
+    under which the partner is indexed, and is then indexed under its
+    index prefix.  Every partner a set is indexed for comes later, so it
+    is no smaller: with ``|b| >= |a|``, overlap o >= xi * (|a| + |b| - o)
+    gives o >= xi / (1 + xi) * (|a| + |b|) >= 2 xi / (1 + xi) * |a|.  So
+    ``a`` is indexed under its first ``|a| - _min_overlap(|a|, 2 xi / (1
+    + xi)) + 2`` ranked grams, by the argument above with that ``need``;
+    the relative 1e-12 slack of :func:`_min_overlap` covers the rounding
+    of ``2 xi / (1 + xi)`` and a score rounded up onto ``xi``, as it does
+    for ``xi`` itself.  So c1 and c2 lie in both prefixes, every
+    qualifying pair is met once, when its larger set probes, with at
+    least ``min(2, need)`` hits, and no per-set state is kept.  A
+    partner with fewer hits, or smaller than ``need``, cannot qualify
+    and is not scored.  The probe is made a frozenset once, and each
+    partner is scored against it as it is held.
     """
     freq = Counter(gram for g in sets for gram in g)
     rank = {gram: r for r, gram in enumerate(sorted(freq, key=lambda gram: (freq[gram], gram)))}
+    xi_index = 2 * xi / (1 + xi)  # what a partner no smaller than the set asks of it
     postings: dict[int, list[int]] = defaultdict(list)
     for b in sorted((pos for pos, g in enumerate(sets) if g), key=lambda pos: len(sets[pos])):
         g = sets[b]
-        need = _min_overlap(len(g), xi)
-        prefix = sorted(rank[gram] for gram in g)[: len(g) - need + _PREFIX_GRAMS]
+        size = len(g)
+        need = _min_overlap(size, xi)
+        ranked = sorted(rank[gram] for gram in g)
         least = min(_PREFIX_GRAMS, need)
         # partners in order of their first shared prefix gram
-        hits = Counter(itertools.chain.from_iterable(postings[r] for r in prefix))
+        hits = Counter(
+            itertools.chain.from_iterable(postings[r] for r in ranked[: size - need + _PREFIX_GRAMS])
+        )
+        probe = frozenset(g)
         for a, shared in hits.items():
             if shared >= least and len(sets[a]) >= need:
-                sim = gram_jaccard(sets[a], g)
+                sim = gram_jaccard(probe, sets[a])
                 if sim >= xi:
                     yield a, b, sim
-        for r in prefix:
+        for r in ranked[: size - _min_overlap(size, xi_index) + _PREFIX_GRAMS]:
             postings[r].append(b)
+
+
+def _gram_groups(store: RecordStore, q: int) -> dict[tuple[int, ...], list[tuple[int, int]]]:
+    """Every ``(rid, fid)`` label of ``store``, once per value, grouped by
+    the gram set of the value and keyed by it as a sorted tuple of gram
+    ids; labels and groups are in walk order (rid, then field, then
+    value).
+
+    ``qgrams`` runs once per distinct value: a value -> group dict keeps
+    each value's label list, so the many repeats of near-duplicate
+    records cost one lookup and no tuple hash.  The grams of a value that
+    are new to the call take the next ids in their sorted text order, so
+    the ids follow the walk and not the iteration order of a set.  Both
+    dicts are dropped on return: the groups hold no gram string, only
+    small ints.
+    """
+    ids: dict[str, int] = {}  # gram -> id
+    group_of: dict[str, list[tuple[int, int]]] = {}  # value -> the labels of its gram set
+    groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for rid in sorted(store):
+        for fid, fld in enumerate(store[rid].fields, 1):
+            for v in fld.values:
+                labels = group_of.get(v)
+                if labels is None:
+                    g = qgrams(v, q)
+                    for gram in sorted(g.difference(ids)):
+                        ids[gram] = len(ids)
+                    key = tuple(sorted(map(ids.__getitem__, g)))
+                    labels = group_of[v] = groups.setdefault(key, [])
+                labels.append((rid, fid))
+    return groups
 
 
 def build_index(store: RecordStore, xi: float, q: int = DEFAULT_Q) -> ValuePairIndex:
@@ -383,16 +438,14 @@ def build_index(store: RecordStore, xi: float, q: int = DEFAULT_Q) -> ValuePairI
     :class:`~entres.engine.EngineConfig`.
 
     Similarity depends on a value only through its gram set, so fields are
-    grouped by the gram sets of their values and only the distinct sets
-    are joined (see :func:`_similar_gram_sets`).  Near-duplicate records
-    repeat most values, so each distinct value's gram set is made once
-    per call, kept in a dict dropped on return.  Fields sharing a set
-    pair at ``gram_jaccard(g, g)`` (1.0); each similar set pair expands to
-    all its cross-record field pairs, appended straight into their runs.
-    A field pair is reached once per pair of its values' gram sets, so a
-    field holding more than one value can reach it twice; nothing is
-    folded here, the read folds such a run to the best value pair per
-    field pair.
+    grouped by the gram sets of their values, each held as a sorted tuple
+    of gram ids (see :func:`_gram_groups`), and only the distinct sets are
+    joined (see :func:`_similar_gram_sets`).  Fields sharing a set pair at
+    ``gram_jaccard(g, g)`` (1.0); each similar set pair expands to all its
+    cross-record field pairs, appended straight into their runs.  A field
+    pair is reached once per pair of its values' gram sets, so a field
+    holding more than one value can reach it twice; nothing is folded
+    here, the read folds such a run to the best value pair per field pair.
 
     The cyclic garbage collector is paused while the join runs and is
     re-enabled afterwards only if it was enabled on entry, also when the
@@ -406,16 +459,7 @@ def build_index(store: RecordStore, xi: float, q: int = DEFAULT_Q) -> ValuePairI
     enabled = gc.isenabled()
     gc.disable()
     try:
-        grams: dict[str, frozenset[str]] = {}  # value -> its gram set
-        groups: dict[frozenset[str], list[tuple[int, int]]] = defaultdict(list)
-        for rid in sorted(store):
-            for fid, fld in enumerate(store[rid].fields, 1):
-                for v in fld.values:
-                    g = grams.get(v)
-                    if g is None:
-                        g = grams[v] = qgrams(v, q)
-                    groups[g].append((rid, fid))
-
+        groups = _gram_groups(store, q)
         index = ValuePairIndex(store, q)
         for g, labels in groups.items():
             if len(labels) > 1:

@@ -2,15 +2,15 @@
 value pairs, and record-level similarity over a one-to-one field matching.
 
 The value metric is q-gram Jaccard and cannot be swapped: the join's
-filters (``pair_index._min_overlap``, the two-gram prefix count and the
-size filter) are derived for Jaccard, so another metric would silently
-lose value pairs.  Above the value level, only a symmetric score in
-[0, 1] is assumed.
+filters (``pair_index._min_overlap``, the two-gram prefix count, the
+shorter index prefix and the size filter) are derived for Jaccard, so
+another metric would silently lose value pairs.  Above the value level,
+only a symmetric score in [0, 1] is assumed.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Collection, Hashable, Iterable, Iterator
 
 if TYPE_CHECKING:
     from .records import Field, SuperRecord
@@ -32,11 +32,17 @@ def qgrams(value: str, q: int = DEFAULT_Q) -> frozenset[str]:
     return frozenset(value[i : i + q] for i in range(len(value) - q + 1))
 
 
-def gram_jaccard(g1: frozenset[str], g2: frozenset[str]) -> float:
-    """Jaccard over two gram sets; two empty sets count as identical."""
+def gram_jaccard(g1: Collection[Hashable], g2: Collection[Hashable]) -> float:
+    """Jaccard over two gram sets; two empty sets count as identical.
+
+    Each side is any collection of distinct grams: a frozenset, or a
+    tuple such as the gram ids ``pair_index`` joins on.  ``g1`` is best a
+    frozenset, which ``frozenset(g1)`` returns as it is; ``g2`` is only
+    iterated.  The score is the same float whatever the containers.
+    """
     if not g1 and not g2:
         return 1.0
-    inter = len(g1 & g2)
+    inter = len(frozenset(g1).intersection(g2))
     if inter == 0:
         return 0.0
     return inter / (len(g1) + len(g2) - inter)

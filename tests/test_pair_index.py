@@ -3,8 +3,12 @@ import gc
 import io
 import itertools
 import json
+import os
 import random
 import string
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import pytest
@@ -14,7 +18,14 @@ import entres.engine as engine_module
 import entres.pair_index as pair_index
 from entres.engine import EngineConfig, ResolutionEngine
 from entres.matching import verify_pair
-from entres.pair_index import FieldLabel, ValuePairIndex, _fold, _similar_gram_sets, build_index
+from entres.pair_index import (
+    FieldLabel,
+    ValuePairIndex,
+    _fold,
+    _gram_groups,
+    _similar_gram_sets,
+    build_index,
+)
 from entres.records import (
     AttrOrigin,
     EntityForest,
@@ -70,25 +81,32 @@ def in_index_order(pairs):
 # numerator and denominator of each xi tried, for values scoring exactly xi;
 # 25 * 0.28 rounds to 7.000000000000001, so a ceil(xi * size) bound would
 # wrongly demand 8 shared grams of a 25-gram set
-XI_RATIOS = {1 / 3: (1, 3), 0.5: (1, 2), 0.6: (3, 5), 2 / 3: (2, 3), 0.7: (7, 10), 1.0: (1, 1),
-             0.28: (7, 25)}
+XI_RATIOS = {0.1: (1, 10), 1 / 3: (1, 3), 0.5: (1, 2), 0.6: (3, 5), 2 / 3: (2, 3), 0.7: (7, 10),
+             1.0: (1, 1), 0.28: (7, 25)}
 
 
 @st.composite
 def join_cases(draw):
     """Small stores full of values shorter than q, values repeated
     within and across records, and distinct values sharing one gram set,
-    plus two values whose gram sets
-    score exactly xi: prefixes of a run of distinct letters, holding
-    k*num and k*den grams, the first set inside the second."""
+    plus values whose gram sets score exactly xi, cut from a run of
+    distinct letters: two prefixes holding k*num and k*den grams, the
+    first set inside the second, and two windows of n = num + den grams
+    each that overlap in 2*num, the tightest pair the shorter index
+    prefix must keep (2*num / (2n - 2*num) = xi), and one- and two-gram
+    sets."""
     q = draw(st.integers(1, 3))
     xi = draw(st.sampled_from(sorted(XI_RATIOS)))
     num, den = XI_RATIOS[xi]
     k = draw(st.integers(1, 2))
     letters = string.ascii_letters
     on_xi = [letters[: k * num + q - 1], letters[: k * den + q - 1]]
+    n, shared = num + den, 2 * num
+    equal_on_xi = [letters[: n + q - 1], letters[n - shared : 2 * n - shared + q - 1]]
+    few_grams = [letters[:q], letters[: q + 1], letters[1 : q + 2]]
     # "abab"/"baba" and "aab"/"aaab" are two values with one gram set at q = 2
-    vocab = on_xi + ["a", "b", "ab", "ba", "aab", "aaab", "abab", "baba", "bab", "abc"]
+    vocab = on_xi + equal_on_xi + few_grams + [
+        "a", "b", "ab", "ba", "aab", "aaab", "abab", "baba", "bab", "abc"]
     value = st.one_of(st.sampled_from(vocab), st.text("abc", min_size=1, max_size=5))
     field_values = st.lists(value, min_size=1, max_size=3, unique=True)
     records = draw(st.lists(st.lists(field_values, min_size=1, max_size=3), min_size=2, max_size=7))
@@ -103,15 +121,25 @@ def join_cases(draw):
     return store, xi, q
 
 
-def per_occurrence_index(store, xi, q=2):
-    """``build_index`` with one ``qgrams`` call per value occurrence, in
-    the same walk (rid, then field, then value): the oracle for its gram
-    set cache, which must leave groups, runs and run order as they are."""
-    groups = {}
+def per_occurrence_groups(store, q=2):
+    """``_gram_groups`` with one ``qgrams`` call per value occurrence, in
+    the same walk (rid, then field, then value) and with the same id rule
+    (a gram new to the walk takes the next id, in its value's sorted gram
+    order)."""
+    ids, groups = {}, {}
     for rid in sorted(store):
         for fid, fld in enumerate(store[rid].fields, 1):
             for v in fld.values:
-                groups.setdefault(qgrams(v, q), []).append((rid, fid))
+                g = tuple(sorted(ids.setdefault(gram, len(ids)) for gram in sorted(qgrams(v, q))))
+                groups.setdefault(g, []).append((rid, fid))
+    return groups
+
+
+def per_occurrence_index(store, xi, q=2):
+    """``build_index`` over :func:`per_occurrence_groups`: the oracle for
+    its value cache, which must leave groups, runs and run order as they
+    are."""
+    groups = per_occurrence_groups(store, q)
     index = ValuePairIndex(store, q)
     for g, labels in groups.items():
         for pos, label in enumerate(labels):
@@ -232,6 +260,7 @@ class TestConstruction:
     @given(join_cases())
     def test_gram_set_cache_matches_per_occurrence_build(self, case):
         store, xi, q = case
+        assert _gram_groups(store, q) == per_occurrence_groups(store, q)
         index = build_index(store, xi, q)
         oracle = per_occurrence_index(store, xi, q)
         assert raw_runs(index) == raw_runs(oracle)
@@ -258,7 +287,8 @@ class TestConstruction:
         sets = list(dict.fromkeys(
             qgrams(v, q) for rec in store.values() for fld in rec.fields for v in fld.values
         ))
-        got = [(min(a, b), max(a, b), sim) for a, b, sim in _similar_gram_sets(sets, xi)]
+        joined = list(_similar_gram_sets(sets, xi))
+        got = [(min(a, b), max(a, b), sim) for a, b, sim in joined]
         want = {
             (a, b, sim)
             for a, b in itertools.combinations(range(len(sets)), 2)
@@ -266,6 +296,15 @@ class TestConstruction:
         }
         assert len(got) == len(set(got))
         assert set(got) == want
+        # gram ids in gram text order rank as the texts do: the same yields,
+        # in the same order
+        ids = {gram: i for i, gram in enumerate(sorted(set().union(*sets)))}
+        assert list(_similar_gram_sets([tuple(sorted(ids[x] for x in g)) for g in sets], xi)) == joined
+        # build_index's own ids: the same set pairs, at the same positions
+        # (its walk meets the sets in the order the store lists them)
+        by_ids = list(_gram_groups(store, q))
+        assert [len(g) for g in by_ids] == [len(g) for g in sets]
+        assert {(min(a, b), max(a, b), sim) for a, b, sim in _similar_gram_sets(by_ids, xi)} == want
 
     def test_pair_sharing_one_prefix_gram_is_not_scored(self, monkeypatch):
         # xi 0.5 asks two four-gram sets for two common grams.  Sets 0 and 1
@@ -289,6 +328,64 @@ class TestConstruction:
             for a, b in itertools.combinations(range(len(sets)), 2)
             if (sim := gram_jaccard(sets[a], sets[b])) >= XI
         } == set(got)
+
+    def test_pair_sharing_a_gram_beyond_the_index_prefix_is_not_scored(self, monkeypatch):
+        # Ranked rarest first (x y z, then a b c, then d), set 0 is a b c d
+        # and set 1 is x y a d: they share a and d, 2 of 6 grams.  Set 1
+        # probes with all four of its grams (4 - 2 + 2), but set 0 is
+        # indexed only under a b c: a partner of four or more grams needs 3
+        # of them at xi 0.5, so a and the third common gram lie within the
+        # first 4 - 3 + 2.  So set 1 counts one hit and scores nothing; set
+        # 2 shares b c d with set 0 and qualifies at 0.6
+        sets = [frozenset("abcd"), frozenset("adxy"), frozenset("bcdz")]
+        scored = []
+
+        def recording(g1, g2):
+            scored.append({g1, g2})
+            return gram_jaccard(g1, g2)
+
+        monkeypatch.setattr(pair_index, "gram_jaccard", recording)
+        got = [(min(a, b), max(a, b), sim) for a, b, sim in _similar_gram_sets(sets, XI)]
+        assert got == [(0, 2, 0.6)]
+        assert scored == [{sets[0], sets[2]}]
+        assert {
+            (a, b, sim)
+            for a, b in itertools.combinations(range(len(sets)), 2)
+            if (sim := gram_jaccard(sets[a], sets[b])) >= XI
+        } == set(got)
+
+    def test_join_does_not_depend_on_the_hash_seed(self):
+        # string hashes, and so the iteration order of a set of grams,
+        # change with PYTHONHASHSEED; gram ids and rank ties must not
+        script = textwrap.dedent("""
+            import json
+            import entres.pair_index as pair_index
+            from tests.conftest import lookalike_store
+
+            calls = []
+            score = pair_index.gram_jaccard
+
+            def counted(g1, g2):
+                calls.append(1)
+                return score(g1, g2)
+
+            pair_index.gram_jaccard = counted
+            groups = pair_index._gram_groups(lookalike_store(20, 0), 2)
+            pairs = list(pair_index._similar_gram_sets(list(groups), 0.5))
+            print(json.dumps([list(groups.items()), pairs, len(calls)]))
+        """)
+        path = os.pathsep.join(p for p in sys.path if p)
+        outs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        _, pairs, calls = json.loads(outs[0])
+        assert pairs and calls > 0
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize(
         "store",

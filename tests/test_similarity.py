@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from entres.records import basic_record, AttrOrigin, Field
-from entres.similarity import FieldMatchingSet, qgrams, record_sim, simf, simv
+from entres.similarity import FieldMatchingSet, gram_jaccard, qgrams, record_sim, simf, simv
 
 short_text = st.text(alphabet="abcde@-", max_size=12)
 
@@ -64,6 +64,18 @@ class TestSimv:
         else:
             expected = len(g1 & g2) / len(g1 | g2)
         assert simv(a, b, q) == pytest.approx(expected)
+
+    @given(short_text, short_text, st.integers(min_value=1, max_value=3))
+    def test_gram_jaccard_takes_a_tuple_of_distinct_grams(self, a, b, q):
+        # the join scores a probe's frozenset against a partner's tuple of
+        # gram ids; the float must be the one two sets give, either way round
+        g1, g2 = qgrams(a, q), qgrams(b, q)
+        ids = {gram: i for i, gram in enumerate(sorted(g1 | g2))}
+        t1, t2 = (tuple(sorted(map(ids.__getitem__, g))) for g in (g1, g2))
+        want = gram_jaccard(g1, g2)
+        assert gram_jaccard(frozenset(t1), t2) == want
+        assert gram_jaccard(frozenset(t2), t1) == want
+        assert gram_jaccard(g1, tuple(g2)) == want
 
 
 def _field(*values):
