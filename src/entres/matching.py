@@ -1,13 +1,14 @@
 """Instance-based verification of a candidate record pair.
 
-The refined field set of a record pair forms a weighted bipartite graph
-over field indices.  Promoted schema matchings are honored first, as
-forced edges: a field pair is forced when the two fields carry the two
-attributes of a promotion, which is read off the ledger's partner map
-(``AttrOrigin -> set of promoted counterparts``) by lookup.  Every edge
-that touches no forced field goes through one Kuhn-Munkres
-maximum-weight assignment.  The union of the two edge sets is the field
-matching.
+The refined field set of a record pair, its field pairs at or above xi,
+forms a weighted bipartite graph over field indices.  Promoted schema
+matchings are honored first, as forced edges: a refined pair is forced
+when its two fields carry the two attributes of a promotion, which is
+read off the ledger's partner map (``AttrOrigin -> set of promoted
+counterparts``) by lookup.  Every edge that touches no forced field goes
+through one Kuhn-Munkres maximum-weight assignment.  The union of the two
+edge sets is the field matching, a one-to-one subset of the refined set:
+the same set the bound and the direct path read.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from types import MappingProxyType
 from typing import AbstractSet, Collection, Iterable, Mapping
 
 from .pair_index import ValuePairIndex
-from .records import AttrOrigin
-from .similarity import FieldMatchingSet, record_sim, simf
+from .records import AttrOrigin, SuperRecord
+from .similarity import FieldMatchingSet, record_sim
 
 _EPS = 1e-9
 
@@ -153,43 +154,30 @@ def km_max_weight(graph: FieldMatchGraph) -> list[tuple[int, int, float]]:
 
 
 def resolve_forced_pairs(
-    index: ValuePairIndex,
-    i: int,
-    j: int,
+    a: SuperRecord,
+    b: SuperRecord,
     partners: Partners,
-    refined: Iterable[tuple[int, int, float]] = (),
+    refined: Iterable[tuple[int, int, float]],
 ) -> list[tuple[int, int, float]]:
-    """Map promoted attribute matchings onto field pairs of (i, j).
+    """The pairs of ``refined`` that promoted attribute matchings force.
 
-    ``partners`` is the ledger's symmetric partner map.  A field pair is
-    forced when one of the left field's origins has a promoted partner
-    among the right field's origins: each left field gathers the partners
-    of its origins, and a right field is forced with it iff that set meets
-    the right field's origins.  Only forced pairs are scored: a pair in
-    ``refined``, the refined field set of (i, j) (see
-    :meth:`~entres.pair_index.ValuePairIndex.cal_bound`), already carries
-    its field similarity; any other pair scores below xi and goes through
-    :func:`~entres.similarity.simf`.  Should two forced pairs collide on a
-    field (possible once merged fields hold several origins), the
+    ``refined`` is the refined field set of (a, b) (see
+    :meth:`~entres.pair_index.ValuePairIndex.cal_bound`) and ``partners``
+    the ledger's symmetric partner map.  A refined pair is forced when one
+    of its left field's origins has a promoted partner among its right
+    field's origins.  A promoted field pair outside the refined set scores
+    below xi and is not forced, as no field pair below xi counts towards
+    the record similarity.  Should two forced pairs collide on a field
+    (possible once merged fields hold several origins), the
     higher-similarity pair wins, lowest field indices first.
     """
     if not partners:
         return []
-    a, b = index.store[i], index.store[j]
-    scores = {(lf, rf): s for lf, rf, s in refined}
-    raw: list[tuple[float, int, int]] = []
-    for lf, lfield in enumerate(a.fields, 1):
-        wanted: set[AttrOrigin] = set()
-        for origin in lfield.origins:
-            wanted.update(partners.get(origin, ()))
-        if not wanted:
-            continue
-        for rf, rfield in enumerate(b.fields, 1):
-            if not wanted.isdisjoint(rfield.origins):
-                s = scores.get((lf, rf))
-                if s is None:
-                    s = simf(lfield, rfield, index.q)
-                raw.append((s, lf, rf))
+    raw = []
+    for lf, rf, s in refined:
+        right = b.fields[rf - 1].origins
+        if any(not right.isdisjoint(partners.get(o, ())) for o in a.fields[lf - 1].origins):
+            raw.append((s, lf, rf))
     raw.sort(key=lambda t: (-t[0], t[1], t[2]))
     used_l: set[int] = set()
     used_r: set[int] = set()
@@ -211,14 +199,17 @@ def verify_pair(
 ) -> VerifyResult:
     """Compute the similarity of candidate pair (i, j).
 
-    The similar field pairs come straight from the index (the refined
-    field set); the matching is the forced edges (from the promoted schema
-    matchings in ``partners``, see :func:`resolve_forced_pairs`) + the KM
-    solution on the refined edges that touch no forced field.
+    The matching is drawn from the refined field set alone: the forced
+    edges (the refined pairs that the promoted schema matchings in
+    ``partners`` force, see :func:`resolve_forced_pairs`) + the KM
+    solution on the refined edges that touch no forced field.  It is
+    one-to-one, so the score never exceeds the pair's bound ``up``; for a
+    pair with no multiple field it is the whole refined set, scored ``up``,
+    the matching a direct merge takes.
     """
     a, b = index.store[i], index.store[j]
     bound = index.cal_bound(i, j)
-    forced = resolve_forced_pairs(index, i, j, partners, bound.refined)
+    forced = resolve_forced_pairs(a, b, partners, bound.refined)
     graph = build_graph(bound.refined, [(lf, rf) for lf, rf, _ in forced])
     matching = FieldMatchingSet(forced + km_max_weight(graph))
     return VerifyResult(sim=record_sim(a, b, matching), matching=matching)

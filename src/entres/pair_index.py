@@ -4,10 +4,11 @@ under record merges.
 
 For every pair of fields of two different records whose most similar
 value pair reaches xi, the index holds that best similarity: exactly the
-refined field set the bound, the direct merges and the verification
-read.  It is kept as runs, one flat list ``[lf, rf, sim, lf, rf, sim,
-...]`` per record pair with ``rid_1 < rid_2``, where ``lf`` is a field id
-of rid_1 and ``rf`` one of rid_2: three slots per entry and no tuple, since
+refined field set.  The record similarity sums over pairs of that set
+alone, whether the bound, a direct merge or a verification reads it.  It
+is kept as runs, one flat list ``[lf, rf, sim, lf, rf, sim, ...]`` per
+record pair with ``rid_1 < rid_2``, where ``lf`` is a field id of rid_1
+and ``rf`` one of rid_2: three slots per entry and no tuple, since
 field ids are small cached ints and each ``sim`` is the float the join
 made for its gram-set pair.  Only this module reads that layout; callers
 get triples from :meth:`ValuePairIndex.cal_bound` and
@@ -103,9 +104,8 @@ def _fold(run: Run) -> Run:
 class ValuePairIndex:
     """Catalogue of similar cross-record field pairs (see module docstring)."""
 
-    def __init__(self, store: RecordStore, q: int = DEFAULT_Q) -> None:
+    def __init__(self, store: RecordStore) -> None:
         self.store = store
-        self.q = q
         self._runs: dict[int, dict[int, Run]] = {}  # rid -> other rid -> run
 
     # -- construction -----------------------------------------------------
@@ -115,14 +115,12 @@ class ValuePairIndex:
         cls,
         store: RecordStore,
         pairs: Iterable[tuple[tuple[int, int], tuple[int, int], float]],
-        *,
-        q: int = DEFAULT_Q,
     ) -> "ValuePairIndex":
         """Assemble an index from ``((rid, fid), (rid, fid), sim)`` field
         pairs, either side first (no join performed).  A field pair given
         more than once is held more than once; the read folds it to its
         best similarity."""
-        index = cls(store, q)
+        index = cls(store)
         for left, right, sim in pairs:
             if left[0] == right[0]:
                 raise ValueError("indexed pairs must span two records")
@@ -202,7 +200,7 @@ class ValuePairIndex:
         only when neither side has one is the bound exact.
         """
         if i >= j:
-            raise ValueError("lookup requires i < j")
+            raise ValueError("cal_bound requires i < j")
         run, has_multiple = self._read(i, j)
         # from a list, whose length is known: CPython's tuple() over an
         # iterator guesses ten slots and shrinks the tuple, and then each
@@ -460,7 +458,7 @@ def build_index(store: RecordStore, xi: float, q: int = DEFAULT_Q) -> ValuePairI
     gc.disable()
     try:
         groups = _gram_groups(store, q)
-        index = ValuePairIndex(store, q)
+        index = ValuePairIndex(store)
         for g, labels in groups.items():
             if len(labels) > 1:
                 sim = gram_jaccard(g, g)

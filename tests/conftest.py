@@ -2,6 +2,7 @@ import random
 import string
 from collections import defaultdict
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 
@@ -14,7 +15,7 @@ from entres.records import (
     SuperRecord,
     basic_record,
 )
-from entres.similarity import FieldMatchingSet, simf
+from entres.similarity import DEFAULT_Q, FieldMatchingSet, simf
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "demos" / "data"
 CUSTOMERS = DATA_DIR / "customers.jsonl"
@@ -123,12 +124,16 @@ def partners_of(pairs) -> dict[AttrOrigin, set[AttrOrigin]]:
 
 
 def reference_forced_pairs(
-    index: ValuePairIndex, i: int, j: int, promoted: list[frozenset[AttrOrigin]]
+    a: SuperRecord,
+    b: SuperRecord,
+    promoted: list[frozenset[AttrOrigin]],
+    refined: Iterable[tuple[int, int, float]],
 ) -> list[tuple[int, int, float]]:
     """The simple path for ``matching.resolve_forced_pairs``: test every
-    field pair against every promoted pair, then settle collisions by
-    similarity and field indices."""
-    a, b = index.store[i], index.store[j]
+    field pair of ``a`` and ``b`` against every promoted pair, keep the
+    forced pairs that ``refined`` holds, with its scores, then settle
+    collisions by similarity and field indices."""
+    scores = {(lf, rf): s for lf, rf, s in refined}
     raw = []
     for lf, lfield in enumerate(a.fields, 1):
         for rf, rfield in enumerate(b.fields, 1):
@@ -137,7 +142,8 @@ def reference_forced_pairs(
                 if (one in lfield.origins and two in rfield.origins) or (
                     two in lfield.origins and one in rfield.origins
                 ):
-                    raw.append((simf(lfield, rfield, index.q), lf, rf))
+                    if (lf, rf) in scores:
+                        raw.append((scores[lf, rf], lf, rf))
                     break
     raw.sort(key=lambda t: (-t[0], t[1], t[2]))
     used_l: set[int] = set()
@@ -153,20 +159,20 @@ def reference_forced_pairs(
 
 
 def reference_cal_bound(
-    index: ValuePairIndex, i: int, j: int, xi: float
+    index: ValuePairIndex, i: int, j: int, xi: float, q: int = DEFAULT_Q
 ) -> tuple[float, frozenset[tuple[int, int, float]], bool]:
     """The simple path for ``ValuePairIndex.cal_bound``, as
     ``(up, refined set, has_multiple)``, from the records alone: score
-    every field pair with ``simf`` and keep those at or above ``xi`` (the
-    threshold the index was built with), count
-    the refined pairs covering each field, and add the best pair per left
+    every field pair with ``simf`` over ``q``-grams and keep those at or
+    above ``xi`` (the parameters the index was built with), count the
+    refined pairs covering each field, and add the best pair per left
     field in the order a similarity-sorted scan meets them."""
     a, b = index.store[i], index.store[j]
     refined = [
         (lf, rf, s)
         for lf, fa in enumerate(a.fields, 1)
         for rf, fb in enumerate(b.fields, 1)
-        if (s := simf(fa, fb, index.q)) >= xi
+        if (s := simf(fa, fb, q)) >= xi
     ]
     if not refined:
         return 0.0, frozenset(), False
@@ -185,7 +191,7 @@ def reference_cal_bound(
 
 
 def reference_generate_candidates(
-    index: ValuePairIndex, delta: float, xi: float
+    index: ValuePairIndex, delta: float, xi: float, q: int = DEFAULT_Q
 ) -> tuple[list[tuple[int, int]], list[tuple[tuple[int, int], BoundResult]]]:
     """The simple path for ``ValuePairIndex.generate_candidates``: bound
     every record pair of the store with :func:`reference_cal_bound` and
@@ -199,7 +205,7 @@ def reference_generate_candidates(
     direct: list[tuple[tuple[int, int], BoundResult]] = []
     for a, i in enumerate(rids):
         for j in rids[a + 1 :]:
-            up, refined, has_multiple = reference_cal_bound(index, i, j, xi)
+            up, refined, has_multiple = reference_cal_bound(index, i, j, xi, q)
             if up < delta:
                 continue
             if has_multiple:
@@ -329,11 +335,11 @@ class BruteIndex:
         self.q = q
 
     def cal_bound(self, i: int, j: int) -> BoundResult:
-        up, refined, has_multiple = reference_cal_bound(self, i, j, self.xi)
+        up, refined, has_multiple = reference_cal_bound(self, i, j, self.xi, self.q)
         return BoundResult(up, tuple(sorted(refined)), has_multiple)
 
     def generate_candidates(self, delta: float):
-        return reference_generate_candidates(self, delta, self.xi)
+        return reference_generate_candidates(self, delta, self.xi, self.q)
 
     def apply_merge(self, i: int, j: int, k: int, field_map) -> None:
         pass

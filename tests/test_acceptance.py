@@ -105,7 +105,7 @@ def _exhaustive_record_sim(index, i, j, xi):
     ]
     for lf in range(a.width):
         for rf in range(b.width):
-            s = simf(a.fields[lf], b.fields[rf], index.q)
+            s = simf(a.fields[lf], b.fields[rf])
             if s >= xi:
                 weights[lf][rf] = s
     best = oracle_max_weight(a.width, b.width, tuple(map(tuple, weights)))

@@ -13,6 +13,7 @@ from entres.engine import EngineConfig, ResolutionEngine, run
 from entres.pair_index import ValuePairIndex
 from entres.records import AttrOrigin, Field, SuperRecord, basic_record
 from entres.schema_vote import SchemaVoteLedger
+from entres.similarity import FieldMatchingSet
 from entres.synth import clustered_corpus, split_attribute_corpus
 from tests.conftest import (
     BruteIndex,
@@ -220,18 +221,48 @@ class TestPromotedMatchings:
         assert len(result.entities) == 20
 
         # the same run with the simple triple loop over the ledger's
-        # promotions in place of the partner-map lookup, scoring every
-        # forced pair through simf instead of the refined field set
+        # promotions and every field pair in place of the partner-map
+        # lookup over the refined field set
         engine = ResolutionEngine(dict(store))
 
-        def reference(index, i, j, partners, refined=()):
-            return reference_forced_pairs(index, i, j, engine.ledger.promoted_pairs())
+        def reference(a, b, partners, refined):
+            return reference_forced_pairs(a, b, engine.ledger.promoted_pairs(), refined)
 
         monkeypatch.setattr(matching, "resolve_forced_pairs", reference)
         slow = engine.run()
         assert slow.labels == result.labels
         assert slow.merge_history == result.merge_history
         assert slow.promoted == result.promoted
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(10, 30))
+    def test_verification_agrees_with_bound_and_direct_path(self, seed, n):
+        # promotions are frequent at rho = prior = 0.9.  Every verification
+        # the engine makes scores at most its pair's bound, and each direct
+        # pair of each pass verifies, under the partners live at its merge,
+        # to its refined set: the matching the direct path merges on
+        store = random_store(random.Random(seed), n)
+        engine = ResolutionEngine(dict(store), EngineConfig(rho=0.9, prior=0.9))
+        index = engine.index
+        plan = index.generate_candidates
+
+        def checked_plan(delta):
+            candidates, direct = plan(delta)
+            for (i, j), bound in direct:
+                result = matching.verify_pair(index, i, j, engine.ledger.partners)
+                assert result.matching == FieldMatchingSet(bound.refined)
+                assert result.sim == pytest.approx(bound.up)
+            return candidates, direct
+
+        def checked_verify(index, i, j, partners):
+            result = matching.verify_pair(index, i, j, partners)
+            assert result.sim <= index.cal_bound(i, j).up + 1e-9
+            return result
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(index, "generate_candidates", checked_plan)
+            mp.setattr(engine_module, "verify_pair", checked_verify)
+            engine.run()
 
     def test_promoted_is_the_exported_list(self):
         # a pair promoted from both of its attributes is listed once, with
@@ -454,6 +485,26 @@ def with_shuffled_ids(store, rng):
     return shuffled, dict(zip(new_ids, old_ids))
 
 
+def with_reversed_names(store):
+    """The same records with every source and every attribute renamed by a
+    bijection that reverses their sort order, with the map from each old
+    origin to its new one."""
+    origins = {o for rec in store.values() for f in rec.fields for o in f.origins}
+    sources = sorted({o.source for o in origins})
+    attrs = sorted({o.attr for o in origins})
+    source_name = {name: f"src{len(sources) - k:03d}" for k, name in enumerate(sources)}
+    attr_name = {name: f"attr{len(attrs) - k:03d}" for k, name in enumerate(attrs)}
+    new_of = {o: AttrOrigin(source_name[o.source], attr_name[o.attr]) for o in origins}
+    renamed = {
+        rid: SuperRecord(
+            rid=rid,
+            fields=[Field(list(f.values), frozenset(new_of[o] for o in f.origins)) for f in rec.fields],
+        )
+        for rid, rec in store.items()
+    }
+    return renamed, new_of
+
+
 ORDER_CORPORA = {
     "clustered": lambda: clustered_corpus(30, 8, seed=3)[0],
     "split_attribute": lambda: split_attribute_corpus(40)[0],
@@ -489,6 +540,35 @@ class TestOrderIndependence:
         result = run(shuffled)
         assert entity_sets(result) == entity_sets(expected)
         assert result.merge_history == expected.merge_history
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 16),
+        config=st.sampled_from([EngineConfig(), VOTING_CONFIG, EngineConfig(rho=0.9, prior=0.9)]),
+    )
+    def test_reversed_names_give_same_partition(self, seed, n, config):
+        # names decide no merge: a tie-break that read a source or attribute
+        # name would break some tie the other way once their order reverses.
+        # Promotions are not compared here: a merged field holds several
+        # origins, and the ledger casts their votes in name order
+        store = random_store(random.Random(seed), n)
+        labels, history, _, _ = outcome(store, config)
+        renamed, _ = with_reversed_names(store)
+        assert outcome(renamed, config)[:2] == (labels, history)
+
+    @pytest.mark.parametrize("n, seed", LOOKALIKE_CORPORA[:2])
+    def test_reversed_names_give_same_outcome_on_lookalike(self, n, seed):
+        # here the promotions, mapped, and the contradiction count hold too
+        labels, history, promoted, contradictions = outcome(lookalike_store(n, seed))
+        renamed, new_of = with_reversed_names(lookalike_store(n, seed))
+        got_labels, got_history, got_promoted, got_contradictions = outcome(renamed)
+        assert promoted
+        assert (got_labels, got_history) == (labels, history)
+        assert {promo.as_pair() for promo in got_promoted} == {
+            frozenset(new_of[o] for o in promo.as_pair()) for promo in promoted
+        }
+        assert len(got_contradictions) == len(contradictions)
 
     @pytest.mark.xfail(
         strict=True,

@@ -6,6 +6,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entres.engine import EngineConfig
 from entres.matching import (
     FieldMatchGraph,
     build_graph,
@@ -16,7 +17,7 @@ from entres.matching import (
 from entres.pair_index import build_index
 from entres.records import AttrOrigin, Field, SuperRecord
 from entres.schema_vote import SchemaVoteLedger
-from entres.similarity import simf
+from entres.similarity import FieldMatchingSet, simf
 from tests.conftest import partners_of, random_store, reference_forced_pairs
 
 XI = 0.5
@@ -48,6 +49,19 @@ def graph_of(edges):
     left = tuple(sorted({lf for lf, _, _ in edges}))
     right = tuple(sorted({rf for _, rf, _ in edges}))
     return FieldMatchGraph(left=left, right=right, edges=tuple(sorted(edges)))
+
+
+def random_partners(rng, store, p):
+    """A partner map promoting each pair of origins of two sources in
+    ``store`` with probability ``p``."""
+    origins = sorted({o for rec in store.values() for f in rec.fields for o in f.origins})
+    return partners_of([(o1, o2) for o1 in origins for o2 in origins
+                        if o1.source < o2.source and rng.random() < p])
+
+
+def swapped(refined):
+    """The refined field set of (j, i), given that of (i, j)."""
+    return [(rf, lf, s) for lf, rf, s in refined]
 
 
 def unforced_weights(refined, forced, n_left, n_right):
@@ -229,34 +243,75 @@ class TestVerifyPair:
         assert result.sim == pytest.approx(2.6 / 5)
 
     def test_sim_within_bounds(self):
+        # with promotions too: forced edges come from the refined set, so no
+        # verification scores above its bound, and a pair with no multiple
+        # field verifies to its whole refined set, as a direct merge takes it
         rng = random.Random(13)
-        for trial in range(5):
+        for trial in range(20):
             store = random_store(rng, rng.randint(3, 12))
             index = build_index(store, XI)
             rids = sorted(store)
-            for a, i in enumerate(rids):
-                for j in rids[a + 1 :]:
-                    bound = index.cal_bound(i, j)
-                    result = verify_pair(index, i, j)
-                    assert result.sim <= bound.up + 1e-9
-                    if not bound.has_multiple:
-                        assert result.sim == pytest.approx(bound.up)
+            for partners in ({}, random_partners(rng, store, 0.3)):
+                for a, i in enumerate(rids):
+                    for j in rids[a + 1 :]:
+                        bound = index.cal_bound(i, j)
+                        result = verify_pair(index, i, j, partners)
+                        assert result.sim <= bound.up + 1e-9
+                        if not bound.has_multiple:
+                            assert result.matching == FieldMatchingSet(bound.refined)
+                            assert result.sim == pytest.approx(bound.up)
+
+    def test_promoted_pair_below_xi_does_not_count(self):
+        # cut from random_store(random.Random(64), 30) resolved under
+        # EngineConfig(rho=0.9, prior=0.9): the two records and the partner
+        # map as they stood when the pair was verified.  Promotions force
+        # (2, 2) at 0.0 and (3, 5) at 0.4, both below xi; counted, they
+        # lifted the score to delta, above the bound
+        s0a0, s0a1, s0a2 = (AttrOrigin("s0", f"a{k}") for k in range(3))
+        s1a0, s1a1, s1a2 = (AttrOrigin("s1", f"a{k}") for k in range(3))
+        s2a0, s2a1, s2a2, s2a3, s2a4 = (AttrOrigin("s2", f"a{k}") for k in range(5))
+        store = {
+            1: SuperRecord(1, [
+                Field(["food"], frozenset({s0a0, s2a0})),
+                Field(["fooba", "电子"], frozenset({s0a0, s0a1, s1a1, s2a1})),
+                Field(["fooba"], frozenset({s1a0})),
+                Field(["bushel"], frozenset({s0a2, s1a2})),
+            ]),
+            2: SuperRecord(2, [
+                Field(["food"], frozenset({s2a0})),
+                Field(["bush"], frozenset({s2a1})),
+                Field(["bush"], frozenset({s2a2})),
+                Field(["food"], frozenset({s2a3})),
+                Field(["food"], frozenset({s2a4})),
+            ]),
+        }
+        partners = partners_of([
+            (s0a0, s2a0), (s0a0, s1a2), (s0a1, s2a1), (s0a2, s1a2),
+            (s0a2, s2a0), (s1a0, s2a4), (s1a1, s2a1), (s1a2, s2a0),
+        ])
+        delta = EngineConfig().delta
+        index = build_index(store, EngineConfig().xi)
+        bound = index.cal_bound(1, 2)
+        assert bound.up == pytest.approx(0.4)
+        assert bound.up < delta
+        result = verify_pair(index, 1, 2, partners)
+        assert result.sim <= bound.up + 1e-9
+        assert result.sim < delta
+        assert set(result.matching) <= set(bound.refined)
 
     def test_against_enumeration_oracle(self):
         # forced edges first, then the best one-to-one choice of what is left
         rng = random.Random(29)
         for trial in range(40):
             store = random_store(rng, rng.randint(2, 6))
-            origins = sorted({o for rec in store.values() for f in rec.fields for o in f.origins})
-            pairs = [(o1, o2) for o1 in origins for o2 in origins
-                     if o1.source < o2.source and rng.random() < 0.15]
-            partners = partners_of(pairs)
+            partners = random_partners(rng, store, 0.15)
             index = build_index(store, XI)
             rids = sorted(store)
             for a, i in enumerate(rids):
                 for j in rids[a + 1 :]:
                     refined = index.cal_bound(i, j).refined
-                    forced = resolve_forced_pairs(index, i, j, partners, refined)
+                    forced = resolve_forced_pairs(store[i], store[j], partners, refined)
+                    assert set(forced) <= set(refined)
                     matching = list(verify_pair(index, i, j, partners).matching)
                     assert len({lf for lf, _, _ in matching}) == len(matching)
                     assert len({rf for _, rf, _ in matching}) == len(matching)
@@ -273,15 +328,31 @@ class TestVerifyPair:
 class TestResolveForcedPairs:
     def test_promoted_pair_maps_to_fields(self, customer_store):
         index = build_index(customer_store, XI)
+        r2, r4 = customer_store[2], customer_store[4]
+        refined = index.cal_bound(2, 4).refined
         partners = partners_of([(AttrOrigin("CustomerII", "name"),
                                  AttrOrigin("CustomerIII", "name"))])
-        assert resolve_forced_pairs(index, 2, 4, partners) == [(1, 2, 1.0)]
+        assert resolve_forced_pairs(r2, r4, partners, refined) == [(1, 2, 1.0)]
         # the map is symmetric, so the pair is found from either side
-        assert resolve_forced_pairs(index, 4, 2, partners) == [(2, 1, 1.0)]
+        assert resolve_forced_pairs(r4, r2, partners, swapped(refined)) == [(2, 1, 1.0)]
 
     def test_no_promotions_no_forced(self, customer_store):
         index = build_index(customer_store, XI)
-        assert resolve_forced_pairs(index, 2, 4, {}) == []
+        refined = index.cal_bound(2, 4).refined
+        assert resolve_forced_pairs(customer_store[2], customer_store[4], {}, refined) == []
+
+    def test_promoted_pair_outside_refined_set_not_forced(self):
+        # "bush" and "food" share no gram: the promoted field pair scores
+        # 0.0, below xi, so it is not forced and the refined pair stays free
+        x1, x2, y = AttrOrigin("x", "a"), AttrOrigin("x", "c"), AttrOrigin("y", "b")
+        a = SuperRecord(1, [Field(["bush"], frozenset({x1})), Field(["food"], frozenset({x2}))])
+        b = SuperRecord(2, [Field(["food"], frozenset({y}))])
+        index = build_index({1: a, 2: b}, XI)
+        refined = index.cal_bound(1, 2).refined
+        partners = partners_of([(x1, y)])
+        assert refined == ((2, 1, 1.0),)
+        assert resolve_forced_pairs(a, b, partners, refined) == []
+        assert tuple(verify_pair(index, 1, 2, partners).matching) == ((2, 1, 1.0),)
 
     def test_collision_keeps_higher_similarity(self):
         # left field 1 merged two origins, each promoted with a different
@@ -295,7 +366,11 @@ class TestResolveForcedPairs:
                                Field(["bushel"], frozenset({y2}))]),
         }
         index = build_index(store, XI)
-        assert resolve_forced_pairs(index, 1, 2, partners_of([(x1, y1), (x2, y2)])) == [(1, 2, 1.0)]
+        refined = index.cal_bound(1, 2).refined
+        assert len(refined) == 2
+        assert resolve_forced_pairs(store[1], store[2], partners_of([(x1, y1), (x2, y2)]), refined) == [
+            (1, 2, 1.0)
+        ]
 
 
 # origins of three schemas, plus a schema that no record carries, so that
@@ -330,23 +405,25 @@ def test_resolve_forced_pairs_matches_reference(left, right, pairs):
         2: SuperRecord(2, right),
     }
     index = build_index(store, XI)
+    refined = index.cal_bound(1, 2).refined
     partners = partners_of(pairs)
     promoted = list(dict.fromkeys(frozenset(p) for p in pairs))
-    for i, j in ((1, 2), (2, 1)):
-        assert resolve_forced_pairs(index, i, j, partners) == reference_forced_pairs(index, i, j, promoted)
+    for i, j, ij_refined in ((1, 2, refined), (2, 1, swapped(refined))):
+        a, b = store[i], store[j]
+        assert resolve_forced_pairs(a, b, partners, ij_refined) == reference_forced_pairs(
+            a, b, promoted, ij_refined
+        )
 
 
 @settings(max_examples=300, deadline=None)
 @given(fields_st, fields_st, promoted_st)
 def test_forced_scores_from_refined_set_equal_simf(left, right, pairs):
     # the refined field set holds each field pair's best value pair, so its
-    # score is simf bit for bit; pairs missing from it fall back to simf
+    # score, and so each forced score, is simf bit for bit, at or above xi
     store = {1: SuperRecord(1, left), 2: SuperRecord(2, right)}
     index = build_index(store, XI)
     refined = index.cal_bound(1, 2).refined
     for lf, rf, s in refined:
-        assert s == simf(left[lf - 1], right[rf - 1], index.q)
-    partners = partners_of(pairs)
-    assert resolve_forced_pairs(index, 1, 2, partners, refined) == resolve_forced_pairs(
-        index, 1, 2, partners
-    )
+        assert s == simf(left[lf - 1], right[rf - 1])
+    for lf, rf, s in resolve_forced_pairs(store[1], store[2], partners_of(pairs), refined):
+        assert s == simf(left[lf - 1], right[rf - 1]) >= XI

@@ -140,7 +140,7 @@ def per_occurrence_index(store, xi, q=2):
     its value cache, which must leave groups, runs and run order as they
     are."""
     groups = per_occurrence_groups(store, q)
-    index = ValuePairIndex(store, q)
+    index = ValuePairIndex(store)
     for g, labels in groups.items():
         for pos, label in enumerate(labels):
             index._append((label,), labels[pos + 1 :], gram_jaccard(g, g))
@@ -396,9 +396,7 @@ class TestConstruction:
         config = EngineConfig()
         joined = ResolutionEngine(store, config)
         oracle = ResolutionEngine(store, config)
-        oracle.index = ValuePairIndex.from_pairs(
-            oracle.store, brute_force_pairs(store, config.xi, config.q), q=config.q
-        )
+        oracle.index = ValuePairIndex.from_pairs(oracle.store, brute_force_pairs(store, config.xi, config.q))
         assert list(joined.index.iter_pairs()) == list(oracle.index.iter_pairs())
         got, want = joined.run(), oracle.run()
         assert got.labels == want.labels
@@ -420,8 +418,9 @@ class TestLookup:
 
     def test_requires_ordered_ids(self, customer_store):
         index = build_index(customer_store, XI)
-        with pytest.raises(ValueError):
-            index.cal_bound(6, 1)
+        for i, j in ((6, 1), (4, 4)):
+            with pytest.raises(ValueError, match=r"^cal_bound requires i < j$"):
+                index.cal_bound(i, j)
 
     def test_missing_run_is_empty(self, customer_store):
         index = build_index(customer_store, XI)
