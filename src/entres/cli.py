@@ -169,7 +169,7 @@ def record_from_doc(
             origins = origin_sets.get((source, attr))
             if origins is None:
                 origins = origin_sets[source, attr] = frozenset([AttrOrigin(source, attr)])
-            kept.append(Field(values=list(normalized), origins=origins))
+            kept.append(Field._unchecked(list(normalized), origins))
     if not kept:
         raise InputError(f"{where}record has no value left after dropping blank and null ones")
     return ext_id, SuperRecord(rid, kept)

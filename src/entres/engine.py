@@ -109,8 +109,9 @@ class ResolutionEngine:
         merges = 0
 
         for (i, j), bound in direct:
-            # the plan is record-disjoint: no merge of this pass touched the pair's run or records
-            self.merge_pair(i, j, FieldMatchingSet(bound.refined))
+            # the plan is record-disjoint: no merge of this pass touched the pair's run or records.
+            # With no multiple field the refined set is one-to-one, every score at least xi
+            self.merge_pair(i, j, FieldMatchingSet._unchecked(bound.refined))
             merges += 1
 
         seen: set[tuple[int, int]] = set()

@@ -28,10 +28,14 @@ class AttrOrigin(NamedTuple):
     attr: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Field:
     """One field of a record: a duplicate-free list of normalized values and
-    the set of source attributes merged into it."""
+    the set of source attributes merged into it.
+
+    ``Field(...)`` checks its values, since a library caller may pass
+    anything.  The parse and merge paths, whose values are already valid,
+    build fields with :meth:`_unchecked`, so each rule is checked once."""
 
     values: list[str]
     origins: frozenset[AttrOrigin] = dc_field(default_factory=frozenset)
@@ -45,6 +49,15 @@ class Field:
             # an empty value has no grams, so any two would match at 1.0
             raise ValueError("a field value must not be empty")
         self.origins = frozenset(self.origins)
+
+    @classmethod
+    def _unchecked(cls, values: list[str], origins: frozenset[AttrOrigin]) -> Field:
+        """A field of values known to be non-empty, distinct and not blank,
+        with origins already a frozenset: built without the checks."""
+        fld = object.__new__(cls)
+        fld.values = values
+        fld.origins = origins
+        return fld
 
 
 @dataclass
@@ -72,8 +85,13 @@ def basic_record(rid: int, items: Iterable[tuple[AttrOrigin, str]]) -> SuperReco
 
 def normalize_value(raw: str) -> str:
     """Trim surrounding whitespace and case-fold, in Unicode NFC before and
-    after folding so canonically equivalent strings agree.  Idempotent."""
-    return unicodedata.normalize("NFC", unicodedata.normalize("NFC", raw).strip().casefold())
+    after folding so canonically equivalent strings agree.  Idempotent.
+
+    A trimmed NFC string is still NFC, so the second NFC runs only when
+    folding changed the string."""
+    trimmed = unicodedata.normalize("NFC", raw).strip()
+    folded = trimmed.casefold()
+    return folded if folded == trimmed else unicodedata.normalize("NFC", folded)
 
 
 class EntityForest:
@@ -135,15 +153,20 @@ def merge_super_records(
     order.  A matched field unions the two origin sets.  A matched
     absorbed field maps onto its partner and an unmatched one onto its new
     position, so the map is one-to-one.  Neither input record is
-    modified.  A :class:`~entres.similarity.FieldMatchingSet` is used as
-    it is, since it was checked when built; any other iterable is checked
-    by building one.
+    modified: a field that the merge leaves as it is, unmatched or matched
+    but gaining no value and no origin, is shared with its input record,
+    and every other matched field is one new field.  Both records' fields
+    are valid, so the new ones are not checked again.  A
+    :class:`~entres.similarity.FieldMatchingSet` is used as it is, since
+    it was checked when built; any other iterable is checked by building
+    one.
     """
     if forest.find(a.rid) == forest.find(b.rid):
         raise ValueError("cannot merge a record with itself")
     pairs = matching if isinstance(matching, FieldMatchingSet) else FieldMatchingSet(matching)
+    a_width, b_width = a.width, b.width
     for lf, rf, _ in pairs:
-        if not (1 <= lf <= a.width) or not (1 <= rf <= b.width):
+        if not (1 <= lf <= a_width) or not (1 <= rf <= b_width):
             raise ValueError(f"matching references missing field ({lf}, {rf})")
 
     k = forest.union(a.rid, b.rid)
@@ -163,8 +186,9 @@ def merge_super_records(
         else:
             kept = fields[fid - 1]
             held = set(kept.values)
-            values = kept.values + [v for v in fld.values if v not in held]
-            fields[fid - 1] = Field(values=values, origins=kept.origins | fld.origins)
+            new = [v for v in fld.values if v not in held]
+            if new or not fld.origins <= kept.origins:
+                fields[fid - 1] = Field._unchecked(kept.values + new, kept.origins | fld.origins)
         field_map[gone_fid] = fid
 
     return SuperRecord(rid=k, fields=fields), field_map

@@ -78,6 +78,14 @@ class FieldMatchingSet:
                 raise ValueError("matching scores must lie in [0, 1]")
         self.pairs: tuple[tuple[int, int, float], ...] = tuple(norm)
 
+    @classmethod
+    def _unchecked(cls, pairs: Iterable[tuple[int, int, float]]) -> FieldMatchingSet:
+        """A matching of pairs known to be one-to-one, with int indices and
+        float scores in [0, 1]: sorted, not checked again."""
+        matching = object.__new__(cls)
+        matching.pairs = tuple(sorted(pairs))
+        return matching
+
     def __iter__(self) -> Iterator[tuple[int, int, float]]:
         return iter(self.pairs)
 

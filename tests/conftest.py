@@ -274,6 +274,39 @@ def reference_merge_super_records(
     return SuperRecord(rid=k, fields=new_fields), field_map
 
 
+def checked_merge_super_records(
+    a: SuperRecord,
+    b: SuperRecord,
+    matching,
+    forest: EntityForest,
+) -> tuple[SuperRecord, dict[int, int]]:
+    """``records.merge_super_records`` with nothing shared and nothing
+    unchecked: the same fields in the same order and the same field map,
+    but the matching is checked again and every field of the merged
+    record is built anew through the checked ``Field(...)``."""
+    if forest.find(a.rid) == forest.find(b.rid):
+        raise ValueError("cannot merge a record with itself")
+    pairs = FieldMatchingSet(matching)
+    k = forest.union(a.rid, b.rid)
+    if k == a.rid:
+        keep, gone, partner_of = a, b, {rf: lf for lf, rf, _ in pairs}
+    else:
+        keep, gone, partner_of = b, a, {lf: rf for lf, rf, _ in pairs}
+    fields = [Field(values=list(fld.values), origins=fld.origins) for fld in keep.fields]
+    field_map: dict[int, int] = {}
+    for gone_fid, fld in enumerate(gone.fields, 1):
+        fid = partner_of.get(gone_fid)
+        if fid is None:
+            fields.append(Field(values=list(fld.values), origins=fld.origins))
+            fid = len(fields)
+        else:
+            kept = fields[fid - 1]
+            values = kept.values + [v for v in fld.values if v not in kept.values]
+            fields[fid - 1] = Field(values=values, origins=kept.origins | fld.origins)
+        field_map[gone_fid] = fid
+    return SuperRecord(rid=k, fields=fields), field_map
+
+
 def reference_apply_merge(index: ValuePairIndex, i: int, j: int, k: int, field_map) -> None:
     """The simple path for ``ValuePairIndex.apply_merge``, usable as the
     method itself with the map of :func:`reference_merge_super_records`:

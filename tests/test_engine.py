@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import io
 import json
@@ -17,6 +18,7 @@ from entres.similarity import FieldMatchingSet
 from entres.synth import clustered_corpus, split_attribute_corpus
 from tests.conftest import (
     BruteIndex,
+    checked_merge_super_records,
     eager_apply_merge,
     lookalike_gold,
     lookalike_store,
@@ -240,17 +242,21 @@ class TestPromotedMatchings:
         # promotions are frequent at rho = prior = 0.9.  Every verification
         # the engine makes scores at most its pair's bound, and each direct
         # pair of each pass verifies, under the partners live at its merge,
-        # to its refined set: the matching the direct path merges on
+        # to its refined set: the matching the direct path merges on, which
+        # it builds unchecked and which must equal the checked one
         store = random_store(random.Random(seed), n)
         engine = ResolutionEngine(dict(store), EngineConfig(rho=0.9, prior=0.9))
         index = engine.index
-        plan = index.generate_candidates
+        plan, merge_pair = index.generate_candidates, engine.merge_pair
+        direct_matchings: dict[tuple[int, int], FieldMatchingSet] = {}
 
         def checked_plan(delta):
+            assert not direct_matchings  # the last pass merged every direct pair
             candidates, direct = plan(delta)
             for (i, j), bound in direct:
                 result = matching.verify_pair(index, i, j, engine.ledger.partners)
-                assert result.matching == FieldMatchingSet(bound.refined)
+                direct_matchings[i, j] = FieldMatchingSet(bound.refined)
+                assert result.matching == direct_matchings[i, j]
                 assert result.sim == pytest.approx(bound.up)
             return candidates, direct
 
@@ -259,10 +265,18 @@ class TestPromotedMatchings:
             assert result.sim <= index.cal_bound(i, j).up + 1e-9
             return result
 
+        def checked_merge_pair(i, j, pairs):
+            expected = direct_matchings.pop((i, j), None)
+            if expected is not None:
+                assert type(pairs) is FieldMatchingSet and pairs == expected
+            merge_pair(i, j, pairs)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(index, "generate_candidates", checked_plan)
+            mp.setattr(engine, "merge_pair", checked_merge_pair)
             mp.setattr(engine_module, "verify_pair", checked_verify)
             engine.run()
+        assert not direct_matchings
 
     def test_promoted_is_the_exported_list(self):
         # a pair promoted from both of its attributes is listed once, with
@@ -356,6 +370,44 @@ class TestMergeInPlace:
         rewritten = run(dict(store))
         assert in_place.labels == rewritten.labels
         assert in_place.merge_history == rewritten.merge_history
+
+
+class TestCheckedMerge:
+    """A merge shares the fields it leaves as they are and builds the rest
+    unchecked; the same run with every merged field built anew through the
+    checked ``Field(...)`` must decide the same and end with an equal store."""
+
+    @staticmethod
+    def decided(store, config=None):
+        engine = ResolutionEngine(dict(store), config)
+        result = engine.run()
+        decisions = result.labels, result.merge_history, result.promoted, engine.ledger.contradictions
+        return decisions, engine.store
+
+    def same_as_checked(self, store, config=None):
+        before = copy.deepcopy(store)
+        decisions, merged = self.decided(store, config)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine_module, "merge_super_records", checked_merge_super_records)
+            checked_decisions, checked_merged = self.decided(store, config)
+        assert decisions == checked_decisions
+        assert merged.keys() == checked_merged.keys()
+        for rid, rec in merged.items():
+            assert rec.fields == checked_merged[rid].fields
+        assert store == before  # no merge changed an input record
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 16),
+        config=st.sampled_from([EngineConfig(), VOTING_CONFIG, EngineConfig(rho=0.9, prior=0.9)]),
+    )
+    def test_random_stores(self, seed, n, config):
+        self.same_as_checked(random_store(random.Random(seed), n, max_values=3), config)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lookalike(self, seed):
+        self.same_as_checked(lookalike_store(20, seed))
 
 
 class TestAppendOnlyMerge:

@@ -1,9 +1,11 @@
+import copy
 import random
 import unicodedata
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from entres.engine import run
 from entres.records import (
     AttrOrigin,
     EntityForest,
@@ -14,6 +16,7 @@ from entres.records import (
     normalize_value,
 )
 from entres.similarity import FieldMatchingSet
+from entres.synth import clustered_corpus
 
 
 def _origin(attr="a", source="s1"):
@@ -48,6 +51,18 @@ class TestNormalize:
     @example("\u0345\u0300")
     def test_canonically_equivalent_strings_agree(self, s):
         assert normalize_value(s) == normalize_value(unicodedata.normalize("NFD", s))
+
+    # Latin, Greek, combining marks and spaces, as above, and characters
+    # whose case folding changes or recomposes them (ß, ǰ, U+0345, İ)
+    @given(st.text(max_size=30)
+           | st.text(st.sampled_from(" \t\u00a0aEι\u00e9\u0390\u0345\u0300\u0301\u0308"
+                                     "\u0313\u0323\u0327\u00df\u01f0\u0130J\u030c"),
+                     max_size=10))
+    @example("\u0345\u0300")
+    @example(" \u0301e")
+    def test_second_nfc_only_when_folding_changed_the_string(self, s):
+        nfc = unicodedata.normalize
+        assert normalize_value(s) == nfc("NFC", nfc("NFC", s).strip().casefold())
 
 
 class TestForest:
@@ -152,10 +167,36 @@ class TestMerge:
         assert merged.fields[1] is b.fields[1]
         assert merged.fields[2].values == ["831-432"]
 
+    def test_field_gaining_nothing_is_shared(self):
+        # b's matched field holds a's value and origin already
+        a = basic_record(1, [(_origin("con", "CustomerI"), "electronic"),
+                             (_origin("tel", "CustomerI"), "831-432")])
+        b = SuperRecord(6, [Field(["electronic", "electronics"],
+                                  {_origin("con", "CustomerI"), _origin("con", "CustomerIII")}),
+                            Field(["bush@gmail"], {_origin("mail", "CustomerIII")})])
+        before = copy.deepcopy((a, b))
+        forest = EntityForest([1, 6, 99])
+        forest.union(6, 99)  # b survives
+        merged, _ = merge_super_records(a, b, [(1, 1, 1.0)], forest)
+        assert merged.fields[0] is b.fields[0]
+        assert (a, b) == before
+
+    def test_field_gaining_only_an_origin_unions_origins(self):
+        a, b = self._pair()
+        b.fields[0] = Field(["electronics"], {_origin("con", "CustomerIII")})
+        before = copy.deepcopy((a, b))
+        merged, _ = merge_super_records(a, b, [(1, 1, 1.0)], EntityForest([1, 6]))
+        assert merged.fields[0].values == ["electronics"]
+        assert merged.fields[0].origins == {_origin("con", "CustomerI"),
+                                            _origin("con", "CustomerIII")}
+        assert (a, b) == before
+
     def test_matching_set_used_as_given(self, monkeypatch):
-        # a FieldMatchingSet was checked when built; merging does not build another
+        # a FieldMatchingSet was checked when built; merging does not build
+        # another, and neither does a run whose merges are all direct
         a, b = self._pair()
         matching = FieldMatchingSet([(1, 1, 0.9)])
+        store = clustered_corpus(3, 4)[0]
 
         def rebuilt(self, pairs=()):
             raise AssertionError("the matching was validated again")
@@ -163,6 +204,8 @@ class TestMerge:
         monkeypatch.setattr(FieldMatchingSet, "__init__", rebuilt)
         merged, _ = merge_super_records(a, b, matching, EntityForest([1, 6]))
         assert merged.fields[0].values == ["electronics", "electronic"]
+        result = run(store)
+        assert result.merges == 9 and len(result.entities) == 3
 
     def test_plain_matching_checked(self):
         a, b = self._pair()
