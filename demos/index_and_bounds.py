@@ -12,7 +12,9 @@ candidates ever reach the bipartite matching.  Run with:
 import itertools
 from pathlib import Path
 
-from entres import build_index, parse_input, simv
+from entres.cli import parse_input
+from entres.pair_index import build_index
+from entres.similarity import simv
 
 DATA = Path(__file__).resolve().parent / "data" / "customers.jsonl"
 

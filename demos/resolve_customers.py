@@ -10,7 +10,9 @@ records produced by the first round of merges.  Run with:
 
 from pathlib import Path
 
-from entres import EngineConfig, ResolutionEngine, build_index, parse_input
+from entres import EngineConfig, ResolutionEngine
+from entres.cli import parse_input
+from entres.pair_index import build_index
 
 DATA = Path(__file__).resolve().parent / "data" / "customers.jsonl"
 

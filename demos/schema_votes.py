@@ -11,7 +11,8 @@ Run with:
 
 import random
 
-from entres import AttrOrigin, SchemaVoteLedger, error_bound
+from entres import AttrOrigin
+from entres.schema_vote import SchemaVoteLedger, error_bound
 
 
 def main() -> None:

@@ -11,7 +11,9 @@ full cluster through the bridge.  Throughput is measured by
 
 import itertools
 
-from entres import EngineConfig, build_index, run, verify_pair
+from entres import EngineConfig, run
+from entres.matching import verify_pair
+from entres.pair_index import build_index
 from entres.synth import split_attribute_corpus
 
 

@@ -47,7 +47,7 @@ from types import MappingProxyType
 from typing import IO, Collection, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .records import SuperRecord
-from .similarity import DEFAULT_Q, gram_jaccard, qgrams
+from .similarity import DEFAULT_Q, gram_jaccard, qgrams, record_score
 
 RecordStore = dict[int, SuperRecord]
 # flat: left fid, right fid, best similarity, then the next entry (see above)
@@ -210,12 +210,7 @@ class ValuePairIndex:
         for lf, _, sim in refined:
             if sim > up_by_left.get(lf, 0.0):
                 up_by_left[lf] = sim
-        m = min(self.store[i].width, self.store[j].width)
-        # a float sum depends on the order of its terms: largest first, so
-        # the bound does not depend on the order of the run.  Field
-        # collisions can push the raw sum past m; the similarity itself
-        # never exceeds 1, so clamp
-        up = min(1.0, sum(sorted(up_by_left.values(), reverse=True)) / m)
+        up = record_score(up_by_left.values(), min(self.store[i].width, self.store[j].width))
         return BoundResult(up, refined, has_multiple)
 
     def generate_candidates(

@@ -98,12 +98,21 @@ class FieldMatchingSet:
     def __repr__(self) -> str:
         return f"FieldMatchingSet({list(self.pairs)!r})"
 
-    @property
-    def total_weight(self) -> float:
-        return sum(s for _, _, s in self.pairs)
+
+def record_score(scores: Iterable[float], width: int) -> float:
+    """The sum of ``scores`` over ``width``, the smaller record's field
+    count: the one formula of the bound and of verification.
+
+    A float sum depends on the order of its terms, so they are summed
+    largest first: the same scores in any order give the same float, and
+    a direct pair's bound equals its verification score.  Field
+    collisions can push the bound's sum past ``width``; the similarity
+    itself never exceeds 1, so clamp.
+    """
+    return min(1.0, sum(sorted(scores, reverse=True)) / width)
 
 
 def record_sim(a: SuperRecord, b: SuperRecord, matching: FieldMatchingSet) -> float:
     """Accumulated matched-field similarity, normalized by the smaller
     record's field count."""
-    return matching.total_weight / min(a.width, b.width)
+    return record_score([s for _, _, s in matching.pairs], min(a.width, b.width))

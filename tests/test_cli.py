@@ -3,7 +3,10 @@ import gc
 import io
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -646,6 +649,36 @@ class TestMain:
         assert [json.loads(l) for l in captured.out.splitlines()] == [{"id": "only", "entity": "only"}]
         assert captured.err == ""
         assert m.read_text() == "" and dump.read_text() == ""
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter on the test's import path, so nothing this
+    process has imported is in its ``sys.modules``."""
+    path = os.pathsep.join(p for p in sys.path if p)
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True,
+    )
+
+
+class TestImports:
+    def test_library_import_leaves_the_command_line_out(self):
+        script = "import sys, entres; print(sorted({'entres.cli', 'argparse'} & set(sys.modules)))"
+        out = run_python("-c", script)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("module", ["entres", "entres.cli"])
+    def test_module_runs_clean_in_dev_mode(self, module):
+        # -W error turns a warning, such as runpy's "found in sys.modules
+        # after import of package", into a failed run
+        out = run_python(
+            "-X", "dev", "-W", "error", "-m", module,
+            "--input", str(CUSTOMERS), "--ground-truth", str(CUSTOMERS_GOLD),
+        )
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stderr.splitlines()[-1])["f1"] == 1.0
 
 
 blank_values = st.lists(st.sampled_from(["", " ", "\t\n", "\u00a0", None]), min_size=1, max_size=3)

@@ -257,7 +257,7 @@ class TestPromotedMatchings:
                 result = matching.verify_pair(index, i, j, engine.ledger.partners)
                 direct_matchings[i, j] = FieldMatchingSet(bound.refined)
                 assert result.matching == direct_matchings[i, j]
-                assert result.sim == pytest.approx(bound.up)
+                assert result.sim == bound.up
             return candidates, direct
 
         def checked_verify(index, i, j, partners):

@@ -15,7 +15,7 @@ from entres.matching import (
     verify_pair,
 )
 from entres.pair_index import build_index
-from entres.records import AttrOrigin, Field, SuperRecord
+from entres.records import AttrOrigin, Field, SuperRecord, basic_record
 from entres.schema_vote import SchemaVoteLedger
 from entres.similarity import FieldMatchingSet, simf
 from tests.conftest import partners_of, random_store, reference_forced_pairs
@@ -259,7 +259,33 @@ class TestVerifyPair:
                         assert result.sim <= bound.up + 1e-9
                         if not bound.has_multiple:
                             assert result.matching == FieldMatchingSet(bound.refined)
-                            assert result.sim == pytest.approx(bound.up)
+                            assert result.sim == bound.up
+
+    def test_direct_pair_verifies_to_its_bound_as_a_float(self):
+        # refined scores 1.0, 0.8 and 5/6 in field order, over width 3: summed
+        # in field order they make 0.8777777777777778, largest first
+        # 0.8777777777777779.  The bound and verification score through one
+        # function, so with delta at the bound verification accepts what the
+        # direct path merges
+        a = basic_record(1, [
+            (AttrOrigin("s0", "a0"), "food"),
+            (AttrOrigin("s0", "a1"), "abcde"),
+            (AttrOrigin("s0", "a2"), "vwxyzq"),
+        ])
+        b = basic_record(2, [
+            (AttrOrigin("s1", "a0"), "food"),
+            (AttrOrigin("s1", "a1"), "abcdef"),
+            (AttrOrigin("s1", "a2"), "vwxyzqr"),
+            (AttrOrigin("s1", "a3"), "1234"),
+            (AttrOrigin("s1", "a4"), "9876"),
+        ])
+        index = build_index({1: a, 2: b}, XI)
+        bound = index.cal_bound(1, 2)
+        assert not bound.has_multiple
+        assert sorted(bound.refined) == [(1, 1, 1.0), (2, 2, 0.8), (3, 3, 5 / 6)]
+        result = verify_pair(index, 1, 2)
+        assert result.matching == FieldMatchingSet(bound.refined)
+        assert result.sim == bound.up
 
     def test_promoted_pair_below_xi_does_not_count(self):
         # cut from random_store(random.Random(64), 30) resolved under
