@@ -109,8 +109,8 @@ class ResolutionEngine:
         merges = 0
 
         for (i, j), bound in direct:
-            # the plan is record-disjoint: no merge of this pass touched the pair's run or records.
-            # With no multiple field the refined set is one-to-one, every score at least xi
+            # the plan is record-disjoint: no merge of this pass touched the pair's run or records,
+            # so its refined set is its matching, valid as FieldMatchingSet._unchecked says
             self.merge_pair(i, j, FieldMatchingSet._unchecked(bound.refined))
             merges += 1
 

@@ -19,7 +19,7 @@ from typing import AbstractSet, Collection, Iterable, Mapping
 
 from .pair_index import ValuePairIndex
 from .records import AttrOrigin, SuperRecord
-from .similarity import FieldMatchingSet, record_sim
+from .similarity import FieldMatchingSet, record_score
 
 _EPS = 1e-9
 
@@ -48,18 +48,16 @@ class VerifyResult:
 
 def build_graph(
     refined: Iterable[tuple[int, int, float]],
-    forced: Collection[tuple[int, int]] = (),
+    forced: Collection[tuple[int, int] | tuple[int, int, float]] = (),
 ) -> FieldMatchGraph:
     """The graph of the refined edges that touch no forced field.
 
-    A forced pair takes its two fields out of the graph along with every
-    edge touching them; what is left is laid out for :func:`km_max_weight`.
-    Forced pairs that share a field are not caught here: the
-    :class:`~entres.similarity.FieldMatchingSet` built from the result
-    rejects them.
+    A forced pair (a field pair or a triple of :func:`resolve_forced_pairs`)
+    takes its two fields out of the graph along with every edge touching
+    them; what is left is laid out for :func:`km_max_weight`.
     """
-    blocked_left = {lf for lf, _ in forced}
-    blocked_right = {rf for _, rf in forced}
+    blocked_left = {lf for lf, *_ in forced}
+    blocked_right = {rf for _, rf, *_ in forced}
     edges = [e for e in refined if e[0] not in blocked_left and e[1] not in blocked_right]
     left = tuple(sorted({lf for lf, _, _ in edges}))
     right = tuple(sorted({rf for _, rf, _ in edges}))
@@ -199,17 +197,15 @@ def verify_pair(
 ) -> VerifyResult:
     """Compute the similarity of candidate pair (i, j).
 
-    The matching is drawn from the refined field set alone: the forced
-    edges (the refined pairs that the promoted schema matchings in
-    ``partners`` force, see :func:`resolve_forced_pairs`) + the KM
-    solution on the refined edges that touch no forced field.  It is
-    one-to-one, so the score never exceeds the pair's bound ``up``; for a
-    pair with no multiple field it is the whole refined set, scored ``up``,
-    the matching a direct merge takes.
+    The matching is the refined pairs that the promoted schema matchings
+    in ``partners`` force (see :func:`resolve_forced_pairs`) + the KM
+    solution on the refined edges that touch no forced field, valid as
+    ``FieldMatchingSet._unchecked`` says.  Scored as the bound is, it
+    never exceeds ``up``; with no multiple field it is the whole refined
+    set, scored ``up``: the matching a direct merge takes.
     """
     a, b = index.store[i], index.store[j]
     bound = index.cal_bound(i, j)
     forced = resolve_forced_pairs(a, b, partners, bound.refined)
-    graph = build_graph(bound.refined, [(lf, rf) for lf, rf, _ in forced])
-    matching = FieldMatchingSet(forced + km_max_weight(graph))
-    return VerifyResult(sim=record_sim(a, b, matching), matching=matching)
+    matching = FieldMatchingSet._unchecked(forced + km_max_weight(build_graph(bound.refined, forced)))
+    return VerifyResult(record_score([s for _, _, s in matching], min(a.width, b.width)), matching)

@@ -45,9 +45,9 @@ class Field:
             raise ValueError("a field must hold at least one value")
         if len(set(self.values)) != len(self.values):
             raise ValueError("duplicate values within a field")
-        if "" in self.values:
-            # an empty value has no grams, so any two would match at 1.0
-            raise ValueError("a field value must not be empty")
+        if any(not v.strip() for v in self.values):
+            # an empty value has no grams, so any two match at 1.0; the parser drops blank ones
+            raise ValueError("a field value must not be empty or blank")
         self.origins = frozenset(self.origins)
 
     @classmethod
@@ -97,8 +97,10 @@ def normalize_value(raw: str) -> str:
 class EntityForest:
     """Union-find over record ids with path compression and union by size.
 
-    The root returned by :meth:`union` is always one of the two prior
-    roots; nothing downstream may depend on which one wins.
+    :meth:`union` returns the prior root with more members, the first on
+    a tie.  The partition does not depend on it, but the labels report it
+    as the entity id, and the merged record keeps its fields first, so it
+    orders the field ids that break Kuhn-Munkres ties (ROADMAP item 7).
     """
 
     def __init__(self, ids: Iterable[int] = ()) -> None:
@@ -157,9 +159,9 @@ def merge_super_records(
     but gaining no value and no origin, is shared with its input record,
     and every other matched field is one new field.  Both records' fields
     are valid, so the new ones are not checked again.  A
-    :class:`~entres.similarity.FieldMatchingSet` is used as it is, since
-    it was checked when built; any other iterable is checked by building
-    one.
+    :class:`~entres.similarity.FieldMatchingSet` is used as it is, checked
+    when built or valid by construction (see its ``_unchecked``); any
+    other iterable is checked by building one.
     """
     if forest.find(a.rid) == forest.find(b.rid):
         raise ValueError("cannot merge a record with itself")

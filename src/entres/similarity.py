@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Collection, Hashable, Iterable, Iterator
 
 if TYPE_CHECKING:
-    from .records import Field, SuperRecord
+    from .records import Field
 
 DEFAULT_Q = 2
 
@@ -80,8 +80,14 @@ class FieldMatchingSet:
 
     @classmethod
     def _unchecked(cls, pairs: Iterable[tuple[int, int, float]]) -> FieldMatchingSet:
-        """A matching of pairs known to be one-to-one, with int indices and
-        float scores in [0, 1]: sorted, not checked again."""
+        """A matching sorted but not checked.  Each one the resolver makes
+        is valid by construction, its pairs refined pairs with int indices,
+        scored in [xi, 1].  A direct merge takes the refined set of a pair
+        with no multiple field, where no field is covered twice;
+        verification takes the forced pairs, no two of which
+        ``resolve_forced_pairs`` lets share a field, and a one-to-one
+        Kuhn-Munkres assignment on the graph ``build_graph`` builds without
+        the forced fields."""
         matching = object.__new__(cls)
         matching.pairs = tuple(sorted(pairs))
         return matching
@@ -110,9 +116,3 @@ def record_score(scores: Iterable[float], width: int) -> float:
     itself never exceeds 1, so clamp.
     """
     return min(1.0, sum(sorted(scores, reverse=True)) / width)
-
-
-def record_sim(a: SuperRecord, b: SuperRecord, matching: FieldMatchingSet) -> float:
-    """Accumulated matched-field similarity, normalized by the smaller
-    record's field count."""
-    return record_score([s for _, _, s in matching.pairs], min(a.width, b.width))

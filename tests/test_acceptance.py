@@ -16,7 +16,7 @@ from entres.matching import km_max_weight, verify_pair
 from entres.pair_index import ValuePairIndex, build_index
 from entres.records import AttrOrigin, EntityForest, basic_record, merge_super_records
 from entres.schema_vote import error_bound
-from entres.similarity import FieldMatchingSet, record_sim, simf, simv
+from entres.similarity import FieldMatchingSet, record_score, simf, simv
 from entres.synth import clustered_corpus, split_attribute_corpus
 from tests.conftest import CUSTOMERS, random_store
 from tests.test_matching import graph_of, oracle_max_weight
@@ -261,8 +261,8 @@ def test_criterion_4_formula_properties(capsys):
             matching = FieldMatchingSet(
                 (x + 1, x + 1, round(rng.random(), 3)) for x in range(k)
             )
-            assert 0.0 <= record_sim(a, b, matching) <= 1.0
-        return "error_bound monotone, simf monotone, record_sim in [0, 1]"
+            assert 0.0 <= record_score([s for _, _, s in matching], min(a.width, b.width)) <= 1.0
+        return "error_bound monotone, simf monotone, record_score in [0, 1]"
 
     _gate(4, "formula properties hold under fuzzing", body, capsys)
 

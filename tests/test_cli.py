@@ -32,6 +32,7 @@ from tests.conftest import CUSTOMERS, CUSTOMERS_GOLD, CUSTOMERS_INDEX, lookalike
 
 # four unrelated people whose only shared "values" are blank or null phones
 BLANK_AND_NULL = Path(__file__).resolve().parent / "data" / "blank_and_null.jsonl"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 # valid JSON that is not an object
@@ -679,6 +680,14 @@ class TestImports:
         )
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stderr.splitlines()[-1])["f1"] == 1.0
+
+    def test_readme_library_example_prints_its_entities(self):
+        # the first python block under "## Library use", run as written
+        section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        out = run_python("-X", "dev", "-W", "error", "-c", code)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "{1: {1, 2}}\n"
 
 
 blank_values = st.lists(st.sampled_from(["", " ", "\t\n", "\u00a0", None]), min_size=1, max_size=3)

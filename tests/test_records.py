@@ -251,3 +251,12 @@ class TestFieldInvariants:
     def test_empty_value_rejected(self):
         with pytest.raises(ValueError, match="must not be empty"):
             Field(values=["x", ""])
+
+    @pytest.mark.parametrize("blank", [" ", "   ", "\t\n", "\u00a0"])
+    def test_blank_value_rejected(self, blank):
+        # the parser drops a blank value as missing; two records sharing only
+        # "   " would otherwise score 1.0 on it and merge
+        with pytest.raises(ValueError, match="must not be empty"):
+            Field(values=["x", blank])
+        with pytest.raises(ValueError, match="must not be empty"):
+            basic_record(2, [(_origin("name"), "alice"), (_origin("note"), blank)])

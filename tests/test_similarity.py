@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from entres.records import basic_record, AttrOrigin, Field
-from entres.similarity import FieldMatchingSet, gram_jaccard, qgrams, record_sim, simf, simv
+from entres.similarity import FieldMatchingSet, gram_jaccard, qgrams, record_score, simf, simv
 
 short_text = st.text(alphabet="abcde@-", max_size=12)
 
@@ -124,22 +124,27 @@ class TestFieldMatchingSet:
 
 
 class TestRecordSim:
+    """``record_score`` over a matching's scores and the smaller record's width."""
+
     def _rec(self, rid, n):
         return basic_record(
             rid, [(AttrOrigin(f"s{rid}", f"a{i}"), f"v{rid}{i}") for i in range(n)]
         )
 
+    def _sim(self, a, b, m):
+        return record_score([s for _, _, s in m], min(a.width, b.width))
+
     def test_worked_accumulation(self):
         a, b = self._rec(1, 6), self._rec(2, 6)
         m = FieldMatchingSet([(2, 4, 0.37), (3, 2, 1.0), (4, 3, 1.0), (5, 5, 1.0)])
-        assert record_sim(a, b, m) == pytest.approx(3.37 / 6)
+        assert self._sim(a, b, m) == pytest.approx(3.37 / 6)
 
     def test_empty_matching(self):
-        assert record_sim(self._rec(1, 3), self._rec(2, 4), FieldMatchingSet()) == 0.0
+        assert self._sim(self._rec(1, 3), self._rec(2, 4), FieldMatchingSet()) == 0.0
 
     def test_perfect_single_field(self):
         a, b = self._rec(1, 1), self._rec(2, 1)
-        assert record_sim(a, b, FieldMatchingSet([(1, 1, 1.0)])) == 1.0
+        assert self._sim(a, b, FieldMatchingSet([(1, 1, 1.0)])) == 1.0
 
     @given(st.integers(1, 6), st.integers(1, 6), st.data())
     def test_bounded(self, na, nb, data):
@@ -147,4 +152,4 @@ class TestRecordSim:
         k = data.draw(st.integers(0, min(na, nb)))
         scores = data.draw(st.lists(st.floats(0, 1), min_size=k, max_size=k))
         m = FieldMatchingSet((i + 1, i + 1, s) for i, s in enumerate(scores))
-        assert 0.0 <= record_sim(a, b, m) <= 1.0
+        assert 0.0 <= self._sim(a, b, m) <= 1.0
