@@ -48,16 +48,16 @@ class VerifyResult:
 
 def build_graph(
     refined: Iterable[tuple[int, int, float]],
-    forced: Collection[tuple[int, int] | tuple[int, int, float]] = (),
+    forced: Collection[tuple[int, int, float]] = (),
 ) -> FieldMatchGraph:
     """The graph of the refined edges that touch no forced field.
 
-    A forced pair (a field pair or a triple of :func:`resolve_forced_pairs`)
-    takes its two fields out of the graph along with every edge touching
-    them; what is left is laid out for :func:`km_max_weight`.
+    A forced triple of :func:`resolve_forced_pairs` takes its two fields
+    out of the graph along with every edge touching them; what is left is
+    laid out for :func:`km_max_weight`.
     """
-    blocked_left = {lf for lf, *_ in forced}
-    blocked_right = {rf for _, rf, *_ in forced}
+    blocked_left = {lf for lf, _, _ in forced}
+    blocked_right = {rf for _, rf, _ in forced}
     edges = [e for e in refined if e[0] not in blocked_left and e[1] not in blocked_right]
     left = tuple(sorted({lf for lf, _, _ in edges}))
     right = tuple(sorted({rf for _, rf, _ in edges}))

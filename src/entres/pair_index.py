@@ -44,7 +44,7 @@ import math
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from types import MappingProxyType
-from typing import IO, Collection, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import IO, Collection, Hashable, Iterator, Mapping, NamedTuple, Sequence
 
 from .records import SuperRecord
 from .similarity import DEFAULT_Q, gram_jaccard, qgrams, record_score
@@ -109,23 +109,6 @@ class ValuePairIndex:
         self._runs: dict[int, dict[int, Run]] = {}  # rid -> other rid -> run
 
     # -- construction -----------------------------------------------------
-
-    @classmethod
-    def from_pairs(
-        cls,
-        store: RecordStore,
-        pairs: Iterable[tuple[tuple[int, int], tuple[int, int], float]],
-    ) -> "ValuePairIndex":
-        """Assemble an index from ``((rid, fid), (rid, fid), sim)`` field
-        pairs, either side first (no join performed).  A field pair given
-        more than once is held more than once; the read folds it to its
-        best similarity."""
-        index = cls(store)
-        for left, right, sim in pairs:
-            if left[0] == right[0]:
-                raise ValueError("indexed pairs must span two records")
-            index._append((left,), (right,), sim)
-        return index
 
     def _append(
         self, lefts: Sequence[tuple[int, int]], rights: Sequence[tuple[int, int]], sim: float

@@ -33,26 +33,36 @@ class Field:
     """One field of a record: a duplicate-free list of normalized values and
     the set of source attributes merged into it.
 
-    ``Field(...)`` checks its values, since a library caller may pass
-    anything.  The parse and merge paths, whose values are already valid,
-    build fields with :meth:`_unchecked`, so each rule is checked once."""
+    ``Field(...)`` reads values by the command line's rule (README,
+    "Values"): each is normalized with :func:`normalize_value`, and a value
+    or origin that cannot be used is a ``ValueError``.  The parse and merge
+    paths, whose values are already valid, build fields with
+    :meth:`_unchecked`, so each rule is checked once."""
 
     values: list[str]
     origins: frozenset[AttrOrigin] = dc_field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
+        if isinstance(self.values, str):
+            raise ValueError("a field's values must be a collection of strings, not one string")
+        values = list(self.values)
+        if not all(isinstance(v, str) for v in values):
+            raise ValueError("a field value must be a string")
+        self.values = [normalize_value(v) for v in values]
         if not self.values:
             raise ValueError("a field must hold at least one value")
         if len(set(self.values)) != len(self.values):
             raise ValueError("duplicate values within a field")
-        if any(not v.strip() for v in self.values):
+        if not all(self.values):
             # an empty value has no grams, so any two match at 1.0; the parser drops blank ones
             raise ValueError("a field value must not be empty or blank")
         self.origins = frozenset(self.origins)
+        if not all(isinstance(o, AttrOrigin) for o in self.origins):
+            raise ValueError("a field's origins must be AttrOrigin pairs")
 
     @classmethod
     def _unchecked(cls, values: list[str], origins: frozenset[AttrOrigin]) -> Field:
-        """A field of values known to be non-empty, distinct and not blank,
+        """A field of values known to be normalized, distinct and not blank,
         with origins already a frozenset: built without the checks."""
         fld = object.__new__(cls)
         fld.values = values

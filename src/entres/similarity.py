@@ -1,5 +1,5 @@
-"""Similarity kernels: value-level q-gram Jaccard, field-level max over
-value pairs, and record-level similarity over a one-to-one field matching.
+"""Similarity kernels: value-level q-gram Jaccard, and record-level
+similarity over a one-to-one field matching.
 
 The value metric is q-gram Jaccard and cannot be swapped: the join's
 filters (``pair_index._min_overlap``, the two-gram prefix count, the
@@ -10,10 +10,7 @@ only a symmetric score in [0, 1] is assumed.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Collection, Hashable, Iterable, Iterator
-
-if TYPE_CHECKING:
-    from .records import Field
+from typing import Collection, Hashable, Iterable, Iterator
 
 DEFAULT_Q = 2
 
@@ -51,11 +48,6 @@ def gram_jaccard(g1: Collection[Hashable], g2: Collection[Hashable]) -> float:
 def simv(a: str, b: str, q: int = DEFAULT_Q) -> float:
     """q-gram Jaccard similarity of two normalized values."""
     return gram_jaccard(qgrams(a, q), qgrams(b, q))
-
-
-def simf(f1: Field, f2: Field, q: int = DEFAULT_Q) -> float:
-    """Field similarity: the score of the most similar value pair."""
-    return max(simv(v, w, q) for v in f1.values for w in f2.values)
 
 
 class FieldMatchingSet:

@@ -15,13 +15,34 @@ from entres.records import (
     SuperRecord,
     basic_record,
 )
-from entres.similarity import DEFAULT_Q, FieldMatchingSet, simf
+from entres.similarity import DEFAULT_Q, FieldMatchingSet, simv
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "demos" / "data"
 CUSTOMERS = DATA_DIR / "customers.jsonl"
 CUSTOMERS_GOLD = DATA_DIR / "customers_gold.jsonl"
 # `entres --dump-index` on CUSTOMERS at the defaults, as committed
 CUSTOMERS_INDEX = DATA_DIR / "customers_index.jsonl"
+
+
+def simf(f1: Field, f2: Field, q: int = DEFAULT_Q) -> float:
+    """Field similarity, the oracle of every index entry: the score of the
+    most similar value pair."""
+    return max(simv(v, w, q) for v in f1.values for w in f2.values)
+
+
+def index_from_pairs(
+    store: RecordStore, pairs: Iterable[tuple[tuple[int, int], tuple[int, int], float]]
+) -> ValuePairIndex:
+    """An index assembled from ``((rid, fid), (rid, fid), sim)`` field
+    pairs, either side first, with no join.  A field pair given more than
+    once is held more than once; the read folds it to its best
+    similarity."""
+    index = ValuePairIndex(store)
+    for left, right, sim in pairs:
+        if left[0] == right[0]:
+            raise ValueError("indexed pairs must span two records")
+        index._append((left,), (right,), sim)
+    return index
 
 
 @pytest.fixture

@@ -13,12 +13,12 @@ import pytest
 from entres.cli import evaluate
 from entres.engine import EngineConfig, run
 from entres.matching import km_max_weight, verify_pair
-from entres.pair_index import ValuePairIndex, build_index
+from entres.pair_index import build_index
 from entres.records import AttrOrigin, EntityForest, basic_record, merge_super_records
 from entres.schema_vote import error_bound
-from entres.similarity import FieldMatchingSet, record_score, simf, simv
+from entres.similarity import FieldMatchingSet, record_score, simv
 from entres.synth import clustered_corpus, split_attribute_corpus
-from tests.conftest import CUSTOMERS, random_store
+from tests.conftest import CUSTOMERS, index_from_pairs, random_store, simf
 from tests.test_matching import graph_of, oracle_max_weight
 
 XI = DELTA = 0.5
@@ -61,7 +61,7 @@ def test_criterion_1_worked_values(capsys):
             ((1, 4), (2, 3), 1.0),
             ((1, 5), (2, 5), 1.0),
         ]
-        index = ValuePairIndex.from_pairs(store, pairs)
+        index = index_from_pairs(store, pairs)
         bound = index.cal_bound(1, 2)
         assert bound.up == pytest.approx(0.56, abs=TOL)
         assert verify_pair(index, 1, 2).sim == pytest.approx(0.56, abs=TOL)

@@ -9,10 +9,11 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import unicodedata
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from entres.cli import (
     InputError,
@@ -25,7 +26,7 @@ from entres.cli import (
 )
 from entres.engine import EngineConfig, ResolutionEngine, run
 from entres.pair_index import build_index
-from entres.records import AttrOrigin
+from entres.records import AttrOrigin, basic_record
 from entres.schema_vote import SchemaVoteLedger
 from entres.synth import clustered_corpus
 from tests.conftest import CUSTOMERS, CUSTOMERS_GOLD, CUSTOMERS_INDEX, lookalike_store
@@ -714,3 +715,47 @@ def test_blank_only_fields_leave_labels_unchanged(names, extra):
             assert main(["--input", str(path), "--out", str(Path(tmp) / f"out{i}.jsonl")]) == 0
             outputs.append(load_labels(str(Path(tmp) / f"out{i}.jsonl")))
     assert outputs[0] == outputs[1]
+
+
+@st.composite
+def spelled(draw, words):
+    """One of ``words`` in mixed case, with its accents composed or
+    decomposed and surrounding spaces: never blank once normalized."""
+    word = draw(st.sampled_from(words))
+    word = "".join(c.upper() if draw(st.booleans()) else c for c in word)
+    word = unicodedata.normalize(draw(st.sampled_from(["NFC", "NFD"])), word)
+    pad = st.sampled_from(["", " ", "  ", "\t", "\u00a0"])
+    return draw(pad) + word + draw(pad)
+
+
+# each record is one source's attributes, distinct ignoring case, and their values
+mixed_stores = st.lists(
+    st.tuples(
+        st.sampled_from(["crm", "web", "billing"]),
+        st.lists(st.tuples(spelled(["name", "email", "city"]),
+                           spelled(["bush", "bush@gmail", "café", "cafe", "zoë", "chicago", "chicag"])),
+                 min_size=1, max_size=3, unique_by=lambda item: item[0].strip().casefold()),
+    ),
+    min_size=2, max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=mixed_stores)
+@example(records=[("crm", [("name", "BUSH"), ("email", "BUSH@GMAIL")]),
+                  ("web", [("name", "bush"), ("email", "bush@gmail")])])
+def test_library_and_command_line_read_values_alike(records):
+    """A store built with ``basic_record`` and the same store written as
+    JSON lines and parsed resolve to the same partition."""
+    store = {rid: basic_record(rid, [(AttrOrigin(source, attr), v) for attr, v in items])
+             for rid, (source, items) in enumerate(records, 1)}
+    docs = [{"id": f"r{rid}", "source": source,
+             "fields": [{"attr": attr, "values": [v]} for attr, v in items]}
+            for rid, (source, items) in enumerate(records, 1)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.jsonl"
+        write_jsonl(path, docs)
+        parsed = parse_input(str(path))
+    by_library = run(store).entities
+    by_command_line = ResolutionEngine(parsed.store).run().entities
+    assert sorted(map(sorted, by_library.values())) == sorted(map(sorted, by_command_line.values()))

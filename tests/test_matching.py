@@ -17,8 +17,8 @@ from entres.matching import (
 from entres.pair_index import build_index
 from entres.records import AttrOrigin, Field, SuperRecord, basic_record
 from entres.schema_vote import SchemaVoteLedger
-from entres.similarity import FieldMatchingSet, simf
-from tests.conftest import partners_of, random_store, reference_forced_pairs
+from entres.similarity import FieldMatchingSet
+from tests.conftest import partners_of, random_store, reference_forced_pairs, simf
 
 XI = 0.5
 
@@ -67,8 +67,8 @@ def swapped(refined):
 def unforced_weights(refined, forced, n_left, n_right):
     """The weight matrix of the refined edges that touch no forced field,
     0-based, as ``oracle_max_weight`` takes it."""
-    blocked_left = {lf for lf, _ in forced}
-    blocked_right = {rf for _, rf in forced}
+    blocked_left = {lf for lf, _, _ in forced}
+    blocked_right = {rf for _, rf, _ in forced}
     w = [[0.0] * n_right for _ in range(n_left)]
     for lf, rf, s in refined:
         if lf not in blocked_left and rf not in blocked_right:
@@ -80,6 +80,7 @@ N_FIELDS = 6
 field_pairs_st = st.tuples(st.integers(1, N_FIELDS), st.integers(1, N_FIELDS))
 # a few repeated scores, so that ties between edges are common
 score_st = st.sampled_from([0.3, 0.5, 0.7, 1.0]) | st.floats(0.05, 1.0)
+forced_st = st.tuples(st.integers(1, N_FIELDS), st.integers(1, N_FIELDS), score_st)
 
 
 class TestBuildGraph:
@@ -97,7 +98,7 @@ class TestBuildGraph:
 
     def test_forced_pair_removes_incident_edges(self):
         refined = [(1, 2, 1.0), (4, 1, 0.6), (5, 1, 1.0)]
-        graph = build_graph(refined, forced=[(4, 1)])
+        graph = build_graph(refined, forced=[(4, 1, 0.6)])
         # rf=1 is taken, so (5, 1) disappears entirely
         assert graph.edges == ((1, 2, 1.0),)
         assert graph.left == (1,) and graph.right == (2,)
@@ -105,13 +106,13 @@ class TestBuildGraph:
     def test_forced_fields_block_row_and_column(self):
         # forcing (2, 2) removes every edge touching lf=2 or rf=2
         refined = [(1, 1, 0.9), (2, 1, 0.5), (2, 2, 0.8), (3, 2, 0.6)]
-        graph = build_graph(refined, forced=[(2, 2)])
+        graph = build_graph(refined, forced=[(2, 2, 0.8)])
         assert graph.edges == ((1, 1, 0.9),)
 
     @settings(max_examples=300, deadline=None)
     @given(
         st.dictionaries(field_pairs_st, score_st, max_size=12),
-        st.lists(field_pairs_st, max_size=3),
+        st.lists(forced_st, max_size=3),
     )
     def test_km_keeps_isolated_edges_at_optimum_weight(self, scores, forced):
         # KM on the unforced graph settles an edge whose two fields have no
@@ -342,8 +343,7 @@ class TestVerifyPair:
                     assert len({lf for lf, _, _ in matching}) == len(matching)
                     assert len({rf for _, rf, _ in matching}) == len(matching)
                     assert set(forced) <= set(matching)
-                    forced_fields = [(lf, rf) for lf, rf, _ in forced]
-                    w = unforced_weights(refined, forced_fields, store[i].width, store[j].width)
+                    w = unforced_weights(refined, forced, store[i].width, store[j].width)
                     free = [e for e in matching if e not in forced]
                     assert all(w[lf - 1][rf - 1] == s for lf, rf, s in free)
                     assert weight(free) == pytest.approx(

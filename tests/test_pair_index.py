@@ -34,16 +34,18 @@ from entres.records import (
     basic_record,
     merge_super_records,
 )
-from entres.similarity import gram_jaccard, qgrams, simf
+from entres.similarity import gram_jaccard, qgrams
 from entres.synth import clustered_corpus, split_attribute_corpus
 from tests.conftest import (
     eager_apply_merge,
+    index_from_pairs,
     lookalike_store,
     random_store,
     reference_apply_merge,
     reference_cal_bound,
     reference_generate_candidates,
     reference_merge_super_records,
+    simf,
     sorted_plan,
 )
 
@@ -396,7 +398,7 @@ class TestConstruction:
         config = EngineConfig()
         joined = ResolutionEngine(store, config)
         oracle = ResolutionEngine(store, config)
-        oracle.index = ValuePairIndex.from_pairs(oracle.store, brute_force_pairs(store, config.xi, config.q))
+        oracle.index = index_from_pairs(oracle.store, brute_force_pairs(store, config.xi, config.q))
         assert list(joined.index.iter_pairs()) == list(oracle.index.iter_pairs())
         got, want = joined.run(), oracle.run()
         assert got.labels == want.labels
@@ -405,7 +407,7 @@ class TestConstruction:
     def test_from_pairs_rejects_pair_within_one_record(self):
         pairs = [((1, 1), (2, 1), 1.0), ((2, 3), (2, 4), 0.9)]
         with pytest.raises(ValueError, match="span two records"):
-            ValuePairIndex.from_pairs(_six_field_store(), pairs)
+            index_from_pairs(_six_field_store(), pairs)
 
     def test_empty_value_rejected(self):
         # two blank fields would otherwise pair at gram_jaccard(∅, ∅) = 1.0
@@ -567,7 +569,7 @@ class TestCalBound:
             ((1, 4), (2, 3), 1.0),
             ((1, 5), (2, 5), 1.0),
         ]
-        index = ValuePairIndex.from_pairs(_six_field_store(), pairs)
+        index = index_from_pairs(_six_field_store(), pairs)
         bound = index.cal_bound(1, 2)
         assert bound.has_multiple
         assert bound.up == pytest.approx(3.37 / 6)
@@ -582,7 +584,7 @@ class TestCalBound:
             ((1, 3), (2, 2), 1.0),
             ((1, 3), (2, 2), 0.7),
         ]
-        index = ValuePairIndex.from_pairs(_six_field_store(), pairs)
+        index = index_from_pairs(_six_field_store(), pairs)
         assert index.cal_bound(1, 2) == (1 / 6, ((3, 2, 1.0),), False)
         # a bound of 1/6: at a delta of 0.5 the pair would be pruned folded or not
         assert index.generate_candidates(0.1) == ([], [((1, 2), (1 / 6, ((3, 2, 1.0),), False))])
@@ -603,7 +605,7 @@ class TestCalBound:
             index, 1, 2, XI
         )
         # a run holding a field pair twice is folded, once
-        index = ValuePairIndex.from_pairs(_six_field_store(), [((1, 3), (2, 2), 0.7),
+        index = index_from_pairs(_six_field_store(), [((1, 3), (2, 2), 0.7),
                                                                ((1, 3), (2, 2), 1.0)])
         assert index.cal_bound(1, 2) == (1 / 6, ((3, 2, 1.0),), False)
         assert index.cal_bound(1, 2) == (1 / 6, ((3, 2, 1.0),), False)
@@ -611,7 +613,7 @@ class TestCalBound:
         # a dense run, six entries over five fields, goes to the fold, which
         # keeps it as it is when no field pair repeats
         dense = [((1, lf), (2, rf), 0.5 + lf / 10 + rf / 100) for lf in (1, 2, 3) for rf in (1, 2)]
-        index = ValuePairIndex.from_pairs(_six_field_store(), dense)
+        index = index_from_pairs(_six_field_store(), dense)
         bound = index.cal_bound(1, 2)
         assert len(folded) == 2 and bound.has_multiple
         assert bound.refined == tuple((lf, rf, sim) for (_, lf), (_, rf), sim in dense)
@@ -627,7 +629,7 @@ class TestCalBound:
             ((1, 1), (2, 1), 1.0),
             ((1, 2), (2, 1), 0.6),
         ]
-        index = ValuePairIndex.from_pairs(_six_field_store(), pairs)
+        index = index_from_pairs(_six_field_store(), pairs)
         bound = index.cal_bound(1, 2)
         assert bound.has_multiple
         assert bound.up == pytest.approx(1.6 / 6)
@@ -957,7 +959,7 @@ class TestInspection:
         # twice, as a multi-valued field or a merge leaves them
         store = {rid: basic_record(rid, [(AttrOrigin(f"s{rid}", f"a{k}"), f"v{rid}{k}")
                                          for k in range(3)]) for rid in (1, 2, 3)}
-        index = ValuePairIndex.from_pairs(store, [
+        index = index_from_pairs(store, [
             ((1, 1), (2, 1), 0.6), ((1, 2), (2, 3), 1.0), ((1, 1), (2, 1), 0.9),
             ((2, 2), (3, 1), 0.7), ((3, 1), (2, 2), 0.8),
         ])

@@ -260,3 +260,41 @@ class TestFieldInvariants:
             Field(values=["x", blank])
         with pytest.raises(ValueError, match="must not be empty"):
             basic_record(2, [(_origin("name"), "alice"), (_origin("note"), blank)])
+
+    def test_values_normalized_as_the_parser_does(self):
+        fld = Field(values=["  Bush ", "Café"])
+        assert fld.values == ["bush", "café"]
+        assert basic_record(1, [(_origin("name"), "BUSH@GMAIL")]).fields[0].values == ["bush@gmail"]
+
+    def test_values_equal_once_normalized_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            Field(values=["Bush", " bush"])
+
+    @pytest.mark.parametrize("value", [1, 1.5, None, b"x", ["x"]], ids=repr)
+    def test_value_that_is_not_a_string_rejected(self, value):
+        with pytest.raises(ValueError, match="must be a string"):
+            Field(values=["x", value])
+
+    def test_one_string_as_values_rejected(self):
+        # a bare string would be read as its characters
+        with pytest.raises(ValueError, match="not one string"):
+            Field(values="ab")
+
+    def test_any_iterable_of_strings_stored_as_a_list(self):
+        assert Field(values=("a", "b")).values == ["a", "b"]
+        assert Field(values=(v for v in ["a", "b"])).values == ["a", "b"]
+
+    def test_tuple_values_merge(self):
+        # a merge extends the kept field's value list
+        store = {rid: SuperRecord(rid, [Field(("bush", word), {_origin("name", f"s{rid}")})])
+                 for rid, word in ((1, "gmail"), (2, "yahoo"))}
+        result = run(store)
+        assert result.merges == 1
+        assert len(result.entities) == 1
+
+    def test_origin_that_is_not_an_attr_origin_rejected(self):
+        # a plain tuple equals its AttrOrigin, but has no .source for the vote
+        with pytest.raises(ValueError, match="AttrOrigin"):
+            Field(values=["x"], origins={("crm", "name")})
+        with pytest.raises(ValueError, match="AttrOrigin"):
+            Field(values=["x"], origins={_origin(), ("crm", "name")})

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from entres.records import basic_record, AttrOrigin, Field
-from entres.similarity import FieldMatchingSet, gram_jaccard, qgrams, record_score, simf, simv
+from entres.similarity import FieldMatchingSet, gram_jaccard, qgrams, record_score, simv
+from tests.conftest import simf
 
 short_text = st.text(alphabet="abcde@-", max_size=12)
 
