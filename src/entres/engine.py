@@ -18,9 +18,9 @@ from dataclasses import dataclass, field, fields
 
 from .matching import verify_pair
 from .pair_index import RecordStore, ValuePairIndex, build_index
-from .records import EntityForest, merge_super_records
+from .records import EntityForest, Field, SuperRecord, merge_super_records
 from .schema_vote import PromotedMatching, SchemaVoteLedger
-from .similarity import DEFAULT_Q, FieldMatchingSet
+from .similarity import DEFAULT_Q
 
 
 @dataclass(frozen=True)
@@ -86,15 +86,19 @@ class ResolutionEngine:
         if not records:
             raise ValueError("no records to resolve")
         for key, rec in records.items():
+            if not isinstance(rec, SuperRecord):
+                raise ValueError(f"record stored under key {key!r} is a {type(rec).__name__}, not a SuperRecord")
             if key != rec.rid:
                 raise ValueError(f"record stored under key {key!r} has rid {rec.rid!r}")
+            if not all(isinstance(fld, Field) for fld in rec.fields):
+                raise ValueError(f"record {key!r} has a field that is not a Field")
         self.store: RecordStore = dict(records)
         self.forest = EntityForest(self.store)
         self.ledger = SchemaVoteLedger(p=self.config.prior, rho=self.config.rho)
         self.index: ValuePairIndex = build_index(self.store, self.config.xi, self.config.q)
         self._original_ids = sorted(records)
 
-    def merge_pair(self, i: int, j: int, matching: FieldMatchingSet) -> None:
+    def merge_pair(self, i: int, j: int, matching: tuple[tuple[int, int, float], ...]) -> None:
         """Merge the live roots ``i`` and ``j``."""
         a, b = self.store[i], self.store[j]
         merged, field_map = merge_super_records(a, b, matching, self.forest)
@@ -110,8 +114,8 @@ class ResolutionEngine:
 
         for (i, j), bound in direct:
             # the plan is record-disjoint: no merge of this pass touched the pair's run or records,
-            # so its refined set is its matching, valid as FieldMatchingSet._unchecked says
-            self.merge_pair(i, j, FieldMatchingSet._unchecked(bound.refined))
+            # so its refined set is its matching
+            self.merge_pair(i, j, bound.refined)
             merges += 1
 
         seen: set[tuple[int, int]] = set()

@@ -19,7 +19,7 @@ from typing import AbstractSet, Collection, Iterable, Mapping
 
 from .pair_index import ValuePairIndex
 from .records import AttrOrigin, SuperRecord
-from .similarity import FieldMatchingSet, record_score
+from .similarity import record_score
 
 _EPS = 1e-9
 
@@ -43,7 +43,7 @@ class FieldMatchGraph:
 @dataclass(frozen=True)
 class VerifyResult:
     sim: float
-    matching: FieldMatchingSet
+    matching: tuple[tuple[int, int, float], ...]  # (lf, rf, sim), sorted
 
 
 def build_graph(
@@ -199,13 +199,13 @@ def verify_pair(
 
     The matching is the refined pairs that the promoted schema matchings
     in ``partners`` force (see :func:`resolve_forced_pairs`) + the KM
-    solution on the refined edges that touch no forced field, valid as
-    ``FieldMatchingSet._unchecked`` says.  Scored as the bound is, it
+    solution on the refined edges that touch no forced field, sorted, so
+    that the ledger votes in field order.  Scored as the bound is, it
     never exceeds ``up``; with no multiple field it is the whole refined
     set, scored ``up``: the matching a direct merge takes.
     """
     a, b = index.store[i], index.store[j]
     bound = index.cal_bound(i, j)
     forced = resolve_forced_pairs(a, b, partners, bound.refined)
-    matching = FieldMatchingSet._unchecked(forced + km_max_weight(build_graph(bound.refined, forced)))
+    matching = tuple(sorted(forced + km_max_weight(build_graph(bound.refined, forced))))
     return VerifyResult(record_score([s for _, _, s in matching], min(a.width, b.width)), matching)

@@ -18,8 +18,6 @@ import unicodedata
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, NamedTuple
 
-from .similarity import FieldMatchingSet
-
 
 class AttrOrigin(NamedTuple):
     """A source attribute: (schema name, attribute name)."""
@@ -168,26 +166,35 @@ def merge_super_records(
     modified: a field that the merge leaves as it is, unmatched or matched
     but gaining no value and no origin, is shared with its input record,
     and every other matched field is one new field.  Both records' fields
-    are valid, so the new ones are not checked again.  A
-    :class:`~entres.similarity.FieldMatchingSet` is used as it is, checked
-    when built or valid by construction (see its ``_unchecked``); any
-    other iterable is checked by building one.
+    are valid, so the new ones are not checked again.
+
+    ``matching`` holds ``(a's field id, b's field id, score)`` triples,
+    ids 1-based; the merge reads no score.  This is the one check of a
+    field matching: it must be one-to-one and name fields of both
+    records by integer id, or it is a ``ValueError`` raised before the
+    forest changes.  Every matching the resolver makes passes, as its
+    pairs are refined pairs that share no field: a direct merge takes the
+    refined set of a pair with no multiple field, where no field is
+    covered twice, and verification takes the forced pairs, no two of
+    which :func:`~entres.matching.resolve_forced_pairs` lets share a
+    field, plus a one-to-one Kuhn-Munkres assignment on the graph
+    :func:`~entres.matching.build_graph` builds without the forced fields.
     """
     if forest.find(a.rid) == forest.find(b.rid):
         raise ValueError("cannot merge a record with itself")
-    pairs = matching if isinstance(matching, FieldMatchingSet) else FieldMatchingSet(matching)
+    pairs = tuple(matching)
+    left_of = {rf: lf for lf, rf, _ in pairs}
+    right_of = {lf: rf for lf, rf, _ in pairs}
+    if len(left_of) != len(pairs) or len(right_of) != len(pairs):
+        raise ValueError("field matching must be one-to-one")
     a_width, b_width = a.width, b.width
-    for lf, rf, _ in pairs:
-        if not (1 <= lf <= a_width) or not (1 <= rf <= b_width):
+    for lf, rf in right_of.items():
+        if not (isinstance(lf, int) and 1 <= lf <= a_width and isinstance(rf, int) and 1 <= rf <= b_width):
             raise ValueError(f"matching references missing field ({lf}, {rf})")
 
     k = forest.union(a.rid, b.rid)
-    if k == a.rid:
-        keep, gone = a, b
-        partner_of = {rf: lf for lf, rf, _ in pairs}
-    else:
-        keep, gone = b, a
-        partner_of = {lf: rf for lf, rf, _ in pairs}
+    # the absorbed record's field id -> its partner's, the survivor's
+    keep, gone, partner_of = (a, b, left_of) if k == a.rid else (b, a, right_of)
     fields = list(keep.fields)
     field_map: dict[int, int] = {}
     for gone_fid, fld in enumerate(gone.fields, 1):

@@ -25,10 +25,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, AbstractSet, Mapping
+from typing import IO, AbstractSet, Iterable, Mapping
 
 from .records import AttrOrigin, SuperRecord
-from .similarity import FieldMatchingSet
 
 
 def error_bound(n: int, p: float) -> float:
@@ -94,7 +93,7 @@ class SchemaVoteLedger:
         if contradicts:
             self.contradictions.append((a, b))
 
-    def vote(self, a: SuperRecord, b: SuperRecord, matching: FieldMatchingSet) -> None:
+    def vote(self, a: SuperRecord, b: SuperRecord, matching: Iterable[tuple[int, int, float]]) -> None:
         """Cast the votes of the verified merge of ``a`` and ``b`` under
         ``matching``: each cross-schema pair of a matched field pair's
         origins (matching order, origins sorted) is recorded once, as

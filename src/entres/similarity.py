@@ -10,7 +10,7 @@ only a symmetric score in [0, 1] is assumed.
 
 from __future__ import annotations
 
-from typing import Collection, Hashable, Iterable, Iterator
+from typing import Collection, Hashable, Iterable
 
 DEFAULT_Q = 2
 
@@ -48,53 +48,6 @@ def gram_jaccard(g1: Collection[Hashable], g2: Collection[Hashable]) -> float:
 def simv(a: str, b: str, q: int = DEFAULT_Q) -> float:
     """q-gram Jaccard similarity of two normalized values."""
     return gram_jaccard(qgrams(a, q), qgrams(b, q))
-
-
-class FieldMatchingSet:
-    """A one-to-one set of matched field pairs, each with its similarity.
-
-    Pairs are (left field index, right field index, score); indices are
-    1-based.  Stored sorted by left index for deterministic iteration.
-    """
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs: Iterable[tuple[int, int, float]] = ()) -> None:
-        norm = sorted((int(lf), int(rf), float(s)) for lf, rf, s in pairs)
-        left = [p[0] for p in norm]
-        right = [p[1] for p in norm]
-        if len(set(left)) != len(left) or len(set(right)) != len(right):
-            raise ValueError("field matching must be one-to-one")
-        for _, _, s in norm:
-            if not (0.0 <= s <= 1.0):
-                raise ValueError("matching scores must lie in [0, 1]")
-        self.pairs: tuple[tuple[int, int, float], ...] = tuple(norm)
-
-    @classmethod
-    def _unchecked(cls, pairs: Iterable[tuple[int, int, float]]) -> FieldMatchingSet:
-        """A matching sorted but not checked.  Each one the resolver makes
-        is valid by construction, its pairs refined pairs with int indices,
-        scored in [xi, 1].  A direct merge takes the refined set of a pair
-        with no multiple field, where no field is covered twice;
-        verification takes the forced pairs, no two of which
-        ``resolve_forced_pairs`` lets share a field, and a one-to-one
-        Kuhn-Munkres assignment on the graph ``build_graph`` builds without
-        the forced fields."""
-        matching = object.__new__(cls)
-        matching.pairs = tuple(sorted(pairs))
-        return matching
-
-    def __iter__(self) -> Iterator[tuple[int, int, float]]:
-        return iter(self.pairs)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FieldMatchingSet) and self.pairs == other.pairs
-
-    def __repr__(self) -> str:
-        return f"FieldMatchingSet({list(self.pairs)!r})"
 
 
 def record_score(scores: Iterable[float], width: int) -> float:

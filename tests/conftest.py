@@ -15,7 +15,7 @@ from entres.records import (
     SuperRecord,
     basic_record,
 )
-from entres.similarity import DEFAULT_Q, FieldMatchingSet, simv
+from entres.similarity import DEFAULT_Q, simv
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "demos" / "data"
 CUSTOMERS = DATA_DIR / "customers.jsonl"
@@ -253,6 +253,19 @@ def sorted_plan(plan):
     ]
 
 
+def checked_matching(matching) -> tuple[tuple[int, int, float], ...]:
+    """``matching`` as sorted ``(lf, rf, score)`` triples, checked on its
+    own: one-to-one on both sides, every score in [0, 1]."""
+    pairs = tuple(sorted((int(lf), int(rf), float(s)) for lf, rf, s in matching))
+    for side in (0, 1):
+        ids = [p[side] for p in pairs]
+        if len(set(ids)) != len(ids):
+            raise ValueError("field matching must be one-to-one")
+    if not all(0.0 <= s <= 1.0 for _, _, s in pairs):
+        raise ValueError("matching scores must lie in [0, 1]")
+    return pairs
+
+
 def reference_merge_super_records(
     a: SuperRecord,
     b: SuperRecord,
@@ -265,7 +278,7 @@ def reference_merge_super_records(
     records, as ``FieldLabel -> merged field id``."""
     if forest.find(a.rid) == forest.find(b.rid):
         raise ValueError("cannot merge a record with itself")
-    pairs = FieldMatchingSet(matching)
+    pairs = checked_matching(matching)
     left_used = {lf for lf, _, _ in pairs}
     right_used = {rf for _, rf, _ in pairs}
     k = forest.union(a.rid, b.rid)
@@ -307,7 +320,7 @@ def checked_merge_super_records(
     record is built anew through the checked ``Field(...)``."""
     if forest.find(a.rid) == forest.find(b.rid):
         raise ValueError("cannot merge a record with itself")
-    pairs = FieldMatchingSet(matching)
+    pairs = checked_matching(matching)
     k = forest.union(a.rid, b.rid)
     if k == a.rid:
         keep, gone, partner_of = a, b, {rf: lf for lf, rf, _ in pairs}

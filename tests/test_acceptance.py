@@ -16,7 +16,7 @@ from entres.matching import km_max_weight, verify_pair
 from entres.pair_index import build_index
 from entres.records import AttrOrigin, EntityForest, basic_record, merge_super_records
 from entres.schema_vote import error_bound
-from entres.similarity import FieldMatchingSet, record_score, simv
+from entres.similarity import record_score, simv
 from entres.synth import clustered_corpus, split_attribute_corpus
 from tests.conftest import CUSTOMERS, index_from_pairs, random_store, simf
 from tests.test_matching import graph_of, oracle_max_weight
@@ -258,9 +258,7 @@ def test_criterion_4_formula_properties(capsys):
             a = basic_record(1, [(AttrOrigin("s1", f"a{k}"), rng.choice(vocab)) for k in range(na)])
             b = basic_record(2, [(AttrOrigin("s2", f"b{k}"), rng.choice(vocab)) for k in range(nb)])
             k = rng.randint(0, min(na, nb))
-            matching = FieldMatchingSet(
-                (x + 1, x + 1, round(rng.random(), 3)) for x in range(k)
-            )
+            matching = tuple((x + 1, x + 1, round(rng.random(), 3)) for x in range(k))
             assert 0.0 <= record_score([s for _, _, s in matching], min(a.width, b.width)) <= 1.0
         return "error_bound monotone, simf monotone, record_score in [0, 1]"
 

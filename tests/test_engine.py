@@ -14,7 +14,6 @@ from entres.engine import EngineConfig, ResolutionEngine, run
 from entres.pair_index import ValuePairIndex
 from entres.records import AttrOrigin, Field, SuperRecord, basic_record
 from entres.schema_vote import SchemaVoteLedger
-from entres.similarity import FieldMatchingSet
 from entres.synth import clustered_corpus, split_attribute_corpus
 from tests.conftest import (
     BruteIndex,
@@ -146,6 +145,22 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="key 5 has rid 1"):
             run(store)
 
+    def test_record_that_is_not_a_super_record_rejected(self):
+        store = {1: "bush", 2: basic_record(2, [(AttrOrigin("s1", "name"), "bush")])}
+        with pytest.raises(ValueError, match="key 1 is a str, not a SuperRecord"):
+            run(store)
+
+    def test_field_that_is_not_a_field_rejected(self):
+        # a bare string would reach the join, which reads its .values
+        store = {1: SuperRecord(1, ["bush"]), 2: basic_record(2, [(AttrOrigin("s1", "name"), "bush")])}
+        with pytest.raises(ValueError, match="record 1 has a field that is not a Field"):
+            run(store)
+
+    def test_string_record_ids_resolve(self):
+        store = {rid: basic_record(rid, [(AttrOrigin(f"s{rid}", "name"), value)])
+                 for rid, value in (("a", "bush"), ("b", "bush"), ("c", "alvarez"))}
+        assert run(store).labels == {"a": "a", "b": "a", "c": "c"}
+
     def test_duplicate_records_collapse_to_one_entity(self):
         items = [
             (AttrOrigin("s1", "name"), "bush"),
@@ -242,20 +257,19 @@ class TestPromotedMatchings:
         # promotions are frequent at rho = prior = 0.9.  Every verification
         # the engine makes scores at most its pair's bound, and each direct
         # pair of each pass verifies, under the partners live at its merge,
-        # to its refined set: the matching the direct path merges on, which
-        # it builds unchecked and which must equal the checked one
+        # to its refined set: the matching the direct path merges on as it is
         store = random_store(random.Random(seed), n)
         engine = ResolutionEngine(dict(store), EngineConfig(rho=0.9, prior=0.9))
         index = engine.index
         plan, merge_pair = index.generate_candidates, engine.merge_pair
-        direct_matchings: dict[tuple[int, int], FieldMatchingSet] = {}
+        direct_matchings: dict[tuple[int, int], tuple[tuple[int, int, float], ...]] = {}
 
         def checked_plan(delta):
             assert not direct_matchings  # the last pass merged every direct pair
             candidates, direct = plan(delta)
             for (i, j), bound in direct:
                 result = matching.verify_pair(index, i, j, engine.ledger.partners)
-                direct_matchings[i, j] = FieldMatchingSet(bound.refined)
+                direct_matchings[i, j] = tuple(sorted(bound.refined))
                 assert result.matching == direct_matchings[i, j]
                 assert result.sim == bound.up
             return candidates, direct
@@ -268,7 +282,7 @@ class TestPromotedMatchings:
         def checked_merge_pair(i, j, pairs):
             expected = direct_matchings.pop((i, j), None)
             if expected is not None:
-                assert type(pairs) is FieldMatchingSet and pairs == expected
+                assert tuple(sorted(pairs)) == expected
             merge_pair(i, j, pairs)
 
         with pytest.MonkeyPatch.context() as mp:
@@ -600,11 +614,27 @@ class TestOrderIndependence:
         config=st.sampled_from([EngineConfig(), VOTING_CONFIG, EngineConfig(rho=0.9, prior=0.9)]),
     )
     def test_reversed_names_give_same_partition(self, seed, n, config):
-        # names decide no merge: a tie-break that read a source or attribute
-        # name would break some tie the other way once their order reverses.
-        # Promotions are not compared here: a merged field holds several
-        # origins, and the ledger casts their votes in name order
+        # a tie-break that read a source or attribute name would break some
+        # tie the other way once their order reverses.  Names can still
+        # decide a merge through the promotions, which are not compared
+        # here: a merged field holds several origins, and the ledger casts
+        # their votes in name order, so a draw such as the one pinned in
+        # test_reversed_names_move_a_merge can fail (ROADMAP item 7)
         store = random_store(random.Random(seed), n)
+        labels, history, _, _ = outcome(store, config)
+        renamed, _ = with_reversed_names(store)
+        assert outcome(renamed, config)[:2] == (labels, history)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the ledger casts a merge's votes in origin-name order, so renaming moves a "
+        "promotion and with it a merge; content-decided matchings are ROADMAP item 7",
+    )
+    def test_reversed_names_move_a_merge(self):
+        # the plain run merges (12, 0) and leaves record 11 apart; the run
+        # with every name reversed makes one entity of all 14
+        store = random_store(random.Random(246581591), 14)
+        config = EngineConfig(rho=0.9, prior=0.9)
         labels, history, _, _ = outcome(store, config)
         renamed, _ = with_reversed_names(store)
         assert outcome(renamed, config)[:2] == (labels, history)

@@ -17,7 +17,6 @@ from entres.matching import (
 from entres.pair_index import build_index
 from entres.records import AttrOrigin, Field, SuperRecord, basic_record
 from entres.schema_vote import SchemaVoteLedger
-from entres.similarity import FieldMatchingSet
 from tests.conftest import partners_of, random_store, reference_forced_pairs, simf
 
 XI = 0.5
@@ -259,7 +258,7 @@ class TestVerifyPair:
                         result = verify_pair(index, i, j, partners)
                         assert result.sim <= bound.up + 1e-9
                         if not bound.has_multiple:
-                            assert result.matching == FieldMatchingSet(bound.refined)
+                            assert result.matching == tuple(sorted(bound.refined))
                             assert result.sim == bound.up
 
     def test_direct_pair_verifies_to_its_bound_as_a_float(self):
@@ -285,7 +284,7 @@ class TestVerifyPair:
         assert not bound.has_multiple
         assert sorted(bound.refined) == [(1, 1, 1.0), (2, 2, 0.8), (3, 3, 5 / 6)]
         result = verify_pair(index, 1, 2)
-        assert result.matching == FieldMatchingSet(bound.refined)
+        assert result.matching == tuple(sorted(bound.refined))
         assert result.sim == bound.up
 
     def test_promoted_pair_below_xi_does_not_count(self):

@@ -15,8 +15,6 @@ from entres.records import (
     merge_super_records,
     normalize_value,
 )
-from entres.similarity import FieldMatchingSet
-from entres.synth import clustered_corpus
 
 
 def _origin(attr="a", source="s1"):
@@ -191,28 +189,20 @@ class TestMerge:
                                             _origin("con", "CustomerIII")}
         assert (a, b) == before
 
-    def test_matching_set_used_as_given(self, monkeypatch):
-        # a FieldMatchingSet was checked when built; merging does not build
-        # another, and neither does a run whose merges are all direct
+    @pytest.mark.parametrize(
+        "matching",
+        [[(1, 1, 0.9), (2, 1, 0.8)], [(1, 1, 0.9), (1, 2, 0.8)]],
+        ids=["repeated_right", "repeated_left"],
+    )
+    def test_plain_matching_checked(self, matching):
         a, b = self._pair()
-        matching = FieldMatchingSet([(1, 1, 0.9)])
-        store = clustered_corpus(3, 4)[0]
-
-        def rebuilt(self, pairs=()):
-            raise AssertionError("the matching was validated again")
-
-        monkeypatch.setattr(FieldMatchingSet, "__init__", rebuilt)
-        merged, _ = merge_super_records(a, b, matching, EntityForest([1, 6]))
-        assert merged.fields[0].values == ["electronics", "electronic"]
-        result = run(store)
-        assert result.merges == 9 and len(result.entities) == 3
-
-    def test_plain_matching_checked(self):
-        a, b = self._pair()
+        forest = EntityForest([1, 6])
         with pytest.raises(ValueError, match="one-to-one"):
-            merge_super_records(a, b, [(1, 1, 0.9), (2, 1, 0.8)], EntityForest([1, 6]))
+            merge_super_records(a, b, matching, forest)
+        assert forest.find(6) == 6
 
-    @pytest.mark.parametrize("lf, rf", [(3, 1), (1, 3), (0, 1)])
+    # a field id that is not an integer names no field: 1.5 is not read as 1
+    @pytest.mark.parametrize("lf, rf", [(3, 1), (1, 3), (0, 1), (1.5, 1)])
     def test_matching_naming_a_missing_field_rejected(self, lf, rf):
         a, b = self._pair()
         forest = EntityForest([1, 6])

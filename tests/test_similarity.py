@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from entres.records import basic_record, AttrOrigin, Field
-from entres.similarity import FieldMatchingSet, gram_jaccard, qgrams, record_score, simv
+from entres.similarity import gram_jaccard, qgrams, record_score, simv
 from tests.conftest import simf
 
 short_text = st.text(alphabet="abcde@-", max_size=12)
@@ -112,18 +112,6 @@ class TestSimf:
         assert simf(f1, f2) >= before
 
 
-class TestFieldMatchingSet:
-    def test_one_to_one_enforced(self):
-        with pytest.raises(ValueError):
-            FieldMatchingSet([(1, 1, 0.5), (1, 2, 0.5)])
-        with pytest.raises(ValueError):
-            FieldMatchingSet([(1, 2, 0.5), (3, 2, 0.5)])
-
-    def test_score_range_enforced(self):
-        with pytest.raises(ValueError):
-            FieldMatchingSet([(1, 1, 1.5)])
-
-
 class TestRecordSim:
     """``record_score`` over a matching's scores and the smaller record's width."""
 
@@ -137,20 +125,20 @@ class TestRecordSim:
 
     def test_worked_accumulation(self):
         a, b = self._rec(1, 6), self._rec(2, 6)
-        m = FieldMatchingSet([(2, 4, 0.37), (3, 2, 1.0), (4, 3, 1.0), (5, 5, 1.0)])
+        m = ((2, 4, 0.37), (3, 2, 1.0), (4, 3, 1.0), (5, 5, 1.0))
         assert self._sim(a, b, m) == pytest.approx(3.37 / 6)
 
     def test_empty_matching(self):
-        assert self._sim(self._rec(1, 3), self._rec(2, 4), FieldMatchingSet()) == 0.0
+        assert self._sim(self._rec(1, 3), self._rec(2, 4), ()) == 0.0
 
     def test_perfect_single_field(self):
         a, b = self._rec(1, 1), self._rec(2, 1)
-        assert self._sim(a, b, FieldMatchingSet([(1, 1, 1.0)])) == 1.0
+        assert self._sim(a, b, ((1, 1, 1.0),)) == 1.0
 
     @given(st.integers(1, 6), st.integers(1, 6), st.data())
     def test_bounded(self, na, nb, data):
         a, b = self._rec(1, na), self._rec(2, nb)
         k = data.draw(st.integers(0, min(na, nb)))
         scores = data.draw(st.lists(st.floats(0, 1), min_size=k, max_size=k))
-        m = FieldMatchingSet((i + 1, i + 1, s) for i, s in enumerate(scores))
+        m = tuple((i + 1, i + 1, s) for i, s in enumerate(scores))
         assert 0.0 <= self._sim(a, b, m) <= 1.0
