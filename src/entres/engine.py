@@ -1,15 +1,24 @@
-"""The resolution driver: iterate candidate generation, direct merges,
-verification, schema voting and merging until no merge happens.
+"""The resolution loop: iterate the pass plan, direct merges,
+verification, schema voting and merging until a pass merges nothing.
 
-One iteration = one candidate-generation pass.  The pass plan bounds
-each pair once and hands a direct pair (upper bound exact) its bound:
-the pair merges on the bound's refined set, unverified.  Candidates go
-through the bipartite matching.  Direct pairs of a pass share no record:
-one with a record that an earlier direct pair holds is deferred, without
-being bounded, and regenerated next round, when its bound describes the
-merged record.  Candidates are re-rooted through the union-find before
-verification, which is sound because every surviving field pair stays
-reachable under the merged roots.
+One iteration is one pass plan
+(:meth:`~entres.pair_index.ValuePairIndex.generate_candidates`): a walk
+over the index in record-pair order that bounds each pair once.  A pair
+whose bound is below delta is pruned.  A pair with an exact bound (no
+multiple field) is direct: its refined set is its field matching, and it
+merges on the bound the plan handed it, unverified and not bounded
+again.  The rest are candidates, verified by the bipartite matching of
+:mod:`entres.matching`.
+
+Deferral.  The direct pairs of a pass share no record: a direct pair
+with a record that an earlier direct pair of the pass holds is deferred
+to the next pass, when its records are the merged ones.  So no merge of
+the pass touches a planned direct pair, and its bound still holds when
+it merges.  The plan bounds a pair with a held record only if it has a
+multiple field, since only then can it still be a candidate of the pass.
+Candidates are re-rooted through the union-find before verification,
+which is sound because every surviving field pair stays reachable under
+the merged roots.
 """
 
 from __future__ import annotations
@@ -92,11 +101,14 @@ class ResolutionEngine:
                 raise ValueError(f"record stored under key {key!r} has rid {rec.rid!r}")
             if not all(isinstance(fld, Field) for fld in rec.fields):
                 raise ValueError(f"record {key!r} has a field that is not a Field")
+        try:
+            self._original_ids = sorted(records)
+        except TypeError:
+            raise ValueError("record ids must be mutually orderable, such as all ints or all strs") from None
         self.store: RecordStore = dict(records)
         self.forest = EntityForest(self.store)
         self.ledger = SchemaVoteLedger(p=self.config.prior, rho=self.config.rho)
         self.index: ValuePairIndex = build_index(self.store, self.config.xi, self.config.q)
-        self._original_ids = sorted(records)
 
     def merge_pair(self, i: int, j: int, matching: tuple[tuple[int, int, float], ...]) -> None:
         """Merge the live roots ``i`` and ``j``."""
@@ -113,8 +125,7 @@ class ResolutionEngine:
         merges = 0
 
         for (i, j), bound in direct:
-            # the plan is record-disjoint: no merge of this pass touched the pair's run or records,
-            # so its refined set is its matching
+            # the plan is record-disjoint, so the bound still holds (see the module docstring)
             self.merge_pair(i, j, bound.refined)
             merges += 1
 

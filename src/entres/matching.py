@@ -2,13 +2,23 @@
 
 The refined field set of a record pair, its field pairs at or above xi,
 forms a weighted bipartite graph over field indices.  Promoted schema
-matchings are honored first, as forced edges: a refined pair is forced
-when its two fields carry the two attributes of a promotion, which is
-read off the ledger's partner map (``AttrOrigin -> set of promoted
-counterparts``) by lookup.  Every edge that touches no forced field goes
-through one Kuhn-Munkres maximum-weight assignment.  The union of the two
-edge sets is the field matching, a one-to-one subset of the refined set:
-the same set the bound and the direct path read.
+matchings are honored first, as forced edges (:func:`resolve_forced_pairs`):
+a refined pair is forced when its two fields carry the two attributes of
+a promotion, which is read off the ledger's partner map (``AttrOrigin ->
+set of promoted counterparts``) by lookup.  A promoted field pair below
+xi is not in the refined set, so it is not forced and counts for
+nothing.  Every edge that touches no forced field goes through one
+Kuhn-Munkres maximum-weight assignment (:func:`km_max_weight` on the
+graph of :func:`build_graph`).  The union of the two edge sets is the
+field matching, a one-to-one subset of the refined set: the same set the
+bound and the direct path read.
+
+The matching is scored by :func:`~entres.similarity.record_score`, as
+the bound is, and the bound sums each left field's best refined pair, so
+a verified score never exceeds the bound.  A pair with no multiple field
+has only refined pairs that share no field, so verification returns its
+whole refined set at the bound's score, the same float: a direct merge
+is what verification would return.
 """
 
 from __future__ import annotations
@@ -163,9 +173,7 @@ def resolve_forced_pairs(
     :meth:`~entres.pair_index.ValuePairIndex.cal_bound`) and ``partners``
     the ledger's symmetric partner map.  A refined pair is forced when one
     of its left field's origins has a promoted partner among its right
-    field's origins.  A promoted field pair outside the refined set scores
-    below xi and is not forced, as no field pair below xi counts towards
-    the record similarity.  Should two forced pairs collide on a field
+    field's origins.  Should two forced pairs collide on a field
     (possible once merged fields hold several origins), the
     higher-similarity pair wins, lowest field indices first.
     """
@@ -195,14 +203,10 @@ def verify_pair(
     j: int,
     partners: Partners = _NO_PARTNERS,
 ) -> VerifyResult:
-    """Compute the similarity of candidate pair (i, j).
-
-    The matching is the refined pairs that the promoted schema matchings
-    in ``partners`` force (see :func:`resolve_forced_pairs`) + the KM
-    solution on the refined edges that touch no forced field, sorted, so
-    that the ledger votes in field order.  Scored as the bound is, it
-    never exceeds ``up``; with no multiple field it is the whole refined
-    set, scored ``up``: the matching a direct merge takes.
+    """The similarity and field matching of candidate pair (i, j): the
+    refined pairs the promotions in ``partners`` force plus the KM
+    assignment of the rest (see the module docstring), sorted, so that the
+    ledger votes in field order.
     """
     a, b = index.store[i], index.store[j]
     bound = index.cal_bound(i, j)

@@ -17,22 +17,22 @@ get triples from :meth:`ValuePairIndex.cal_bound` and
 holds all its runs.  A run's entries are in no particular order; the
 inspection views sort them.
 
-A run may hold a field pair more than once: the join reaches it once per
-value pair of a multi-valued field, and a merge appends.  Every read of
-a run goes through :meth:`ValuePairIndex._read`, which folds it to the
-best entry per field pair and stores the fold: the bound, the pass plan,
-the size and the inspection views alike.  A field pair held twice always
-looks multiple, so only a multiple run is folded, and a sparse one only
-if it holds a repeat.
-
-Field similarity of a merged field is the maximum over its two parts, so
-a merge appends: it maps the absorbed record's field ids onto the merged
-record and does nothing else.  The surviving record keeps its fields and
-runs; the absorbed record's row is popped and each of its runs moves onto
-the survivor, appended to the run the survivor already has with the same
-record, and folded by the next read, once for all the merges since.
-Union by size absorbs the record with fewer members, so each entry is
-moved O(log n) times over a run.
+Fold-on-read.  A run may hold a field pair more than once: the join
+reaches it once per value pair of a multi-valued field, and a merge
+appends the absorbed record's runs to the survivor's.  Nothing that
+writes a run folds it.  Every read of a run goes through
+:meth:`ValuePairIndex._read`, the bound, the pass plan, the size and the
+inspection views alike, and the read folds it to the best entry per
+field pair and stores the fold in both rows: a field's similarity is the
+best over its values, so a merged field's is the maximum over its two
+parts.  A field pair held twice covers both its fields twice, so only a
+run with a multiple field can need a fold.  Of those, a run with no more
+entries than fields on its two sides is first tested for a repeated
+field pair, and is folded only if it holds one: look-alike fields make
+such sparse runs without repeats, while a merge appends field pairs the
+survivor's run mostly holds already, a denser run that nearly always
+repeats one.  A merge's field map is one-to-one, so one fold after many
+merges keeps the same entries, in the same order, as a fold after each.
 """
 
 from __future__ import annotations
@@ -116,8 +116,8 @@ class ValuePairIndex:
         """Append the field pair of each ``(rid, fid)`` label in ``lefts``
         with each label in ``rights`` of another record, at ``sim``, to the
         run of their record pair, smaller rid on the left; pairs within one
-        record are skipped.  A field pair given twice is held twice, until
-        a read folds its run."""
+        record are skipped.  A field pair given twice is held twice
+        (fold-on-read, in the module docstring)."""
         runs = self._runs
         for ri, fi in lefts:
             row = runs.get(ri, _NO_RUNS)
@@ -140,31 +140,20 @@ class ValuePairIndex:
     def _read(self, i: int, j: int) -> tuple[Run, bool]:
         """The run of (i, j), ``i < j``, folded, and whether it has a
         multiple field: a field on either side covered by more than one of
-        its entries, so that the bound of the run is not exact.  Every read
-        of a run's entries goes through here.
-
-        A field pair held twice covers both its fields twice, so only a
-        multiple run can need a fold; a fold that changed it is stored in
-        both rows.  Folding keeps the set of fields each side covers, so
-        the field counts taken before it hold for the folded run.
-
-        A run with no more entries than fields on its two sides is first
-        tested for a repeated field pair, and is folded only if it holds
-        one.  Look-alike fields make such sparse runs without repeats; a
-        merge appends a run whose field pairs the survivor's run mostly
-        holds already, which makes a denser run that nearly always
-        repeats one, and the test would only add to its fold."""
+        its entries, so that the bound of the run is not exact.  The one
+        read of a run's entries (fold-on-read, in the module docstring)."""
         run = self._runs.get(i, _NO_RUNS).get(j, [])
         n = len(run) // 3
         lefts, rights = len(set(run[0::3])), len(set(run[1::3]))
         if lefts == rights == n:
             return run, False
         if n <= lefts + rights and len(set(zip(run[0::3], run[1::3]))) == n:
-            return run, True
+            return run, True  # sparse and without a repeat
         folded = _fold(run)
         if folded is not run:
             self._runs[i][j] = self._runs[j][i] = run = folded
             n = len(run) // 3
+        # the fold keeps each side's fields, so lefts and rights still hold
         return run, lefts < n or rights < n
 
     def _pairs(self) -> Iterator[tuple[int, int]]:
@@ -199,24 +188,18 @@ class ValuePairIndex:
     def generate_candidates(
         self, delta: float
     ) -> tuple[list[tuple[int, int]], list[tuple[tuple[int, int], BoundResult]]]:
-        """The plan of one pass: a walk over the index runs in
-        ``(rid_1, rid_2)`` order.
+        """The plan of one pass (the pass plan of :mod:`entres.engine`): a
+        walk over the index runs in ``(rid_1, rid_2)`` order.
 
-        Returns (candidates, direct): pairs whose upper bound reaches
-        ``delta`` and need verification, and ``((i, j), bound)`` for each
-        pair whose bound is exact (no multiple field on either side), so
-        that its refined set is its field matching: the engine merges it on
-        that set.  Pairs bounded below ``delta`` are pruned; the range of
-        ``delta`` is checked by :class:`~entres.engine.EngineConfig`.
-
-        A record takes part in at most one direct merge per pass, so
-        ``direct`` is record-disjoint and no merge of the pass touches a
-        planned pair: a pair with a record that an earlier direct pair of
-        the walk holds is deferred to the next pass, when its records are
-        what this pass's merges made them.  Such a pair is bounded only if
-        its run has a multiple field, since only then can it be a
-        candidate.  That check reads the run as a bound does, folded,
-        since a field pair held twice would look multiple.
+        Returns (candidates, direct): the pairs whose upper bound reaches
+        ``delta`` and has a multiple field, for verification, and
+        ``((i, j), bound)`` for each pair whose bound reaches ``delta`` and
+        is exact, for the engine to merge on the bound's refined set.
+        Pairs bounded below ``delta`` are pruned; the range of ``delta`` is
+        checked by :class:`~entres.engine.EngineConfig`.  ``direct`` is
+        record-disjoint: a pair with a record that an earlier direct pair
+        of the walk holds is deferred, and bounded only if its run, read
+        folded, has a multiple field.
         """
         candidates: list[tuple[int, int]] = []
         direct: list[tuple[tuple[int, int], BoundResult]] = []
@@ -247,12 +230,7 @@ class ValuePairIndex:
         its runs moves onto ``k`` in place: the absorbed field ids are
         mapped and put on ``k``'s side of the record pair, and where
         ``k`` already has a run with the same other record, the moved
-        entries are appended to it.  Nothing is folded here: such a run
-        may hold a field pair more than once until a read folds it to the
-        best entry per field pair (a matched field's similarity is the
-        maximum over its two parts).  The map is one-to-one, so folding
-        gives the same entries, in the same order, whether it runs after
-        each merge or once after many.
+        entries are appended to it (fold-on-read, in the module docstring).
         """
         if k not in (i, j):
             raise ValueError("the merged record keeps the rid of one of the two")
@@ -418,10 +396,9 @@ def build_index(store: RecordStore, xi: float, q: int = DEFAULT_Q) -> ValuePairI
     of gram ids (see :func:`_gram_groups`), and only the distinct sets are
     joined (see :func:`_similar_gram_sets`).  Fields sharing a set pair at
     ``gram_jaccard(g, g)`` (1.0); each similar set pair expands to all its
-    cross-record field pairs, appended straight into their runs.  A field
-    pair is reached once per pair of its values' gram sets, so a field
-    holding more than one value can reach it twice; nothing is folded
-    here, the read folds such a run to the best value pair per field pair.
+    cross-record field pairs, appended straight into their runs, so a
+    field pair is appended once per similar pair of its values' gram sets
+    (fold-on-read, in the module docstring).
 
     The cyclic garbage collector is paused while the join runs and is
     re-enabled afterwards only if it was enabled on entry, also when the

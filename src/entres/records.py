@@ -3,13 +3,21 @@ union-find forest mapping record ids to entity labels.
 
 A record is a sequence of fields; each field holds a set of string values
 (stored as a duplicate-free list in the order they arrived) plus the
-source attributes that fed it.  Merging two records fuses matched fields
-and concatenates the rest, in place: the record that survives as the
-union-find root keeps every field where it was, matched fields gain the
-absorbed record's new values after their own, and the absorbed record's
-unmatched fields follow.  Only the absorbed record's fields get new ids,
-and since the root is chosen by union by size, a field is renumbered
-O(log n) times over a run.
+source attributes that fed it.
+
+Merge in place.  Merging two records fuses matched fields and
+concatenates the rest: the record that survives as the union-find root
+keeps every field where it was, each matched field gains its partner's
+new values after its own and the union of both origin sets, and the
+absorbed record's unmatched fields follow in their order.  Only the
+absorbed record's fields get new ids, given by the field map the merge
+returns, and only its runs move in the index
+(:meth:`~entres.pair_index.ValuePairIndex.apply_merge`).  Union by size
+absorbs the record with fewer members, so a field is renumbered, and an
+index entry moved, O(log n) times over a run.  Neither input record
+changes: a field the merge leaves as it is, unmatched or matched but
+gaining no value and no origin, is shared with its input record, and
+every other matched field is one new field.
 """
 
 from __future__ import annotations
@@ -112,15 +120,8 @@ class EntityForest:
     """
 
     def __init__(self, ids: Iterable[int] = ()) -> None:
-        self._parent: dict[int, int] = {}
-        self._size: dict[int, int] = {}
-        for i in ids:
-            self.add(i)
-
-    def add(self, i: int) -> None:
-        if i not in self._parent:
-            self._parent[i] = i
-            self._size[i] = 1
+        self._parent: dict[int, int] = {i: i for i in ids}
+        self._size: dict[int, int] = dict.fromkeys(self._parent, 1)
 
     def find(self, i: int) -> int:
         root = i
@@ -147,26 +148,18 @@ def merge_super_records(
     matching: Iterable[tuple[int, int, float]],
     forest: EntityForest,
 ) -> tuple[SuperRecord, dict[int, int]]:
-    """Fuse ``a`` and ``b`` under a one-to-one field matching.
+    """Fuse ``a`` and ``b`` under a one-to-one field matching, in place
+    (see the module docstring).
 
     Performs ``k = union(a.rid, b.rid)``: the record whose rid survives as
-    the root (the one with more members, by union by size) keeps its
-    fields in place, and the other one is absorbed into it.  Returns the
-    merged record together with the field map of the absorbed record
-    (its field id -> the merged record's field id), which the pair index
-    needs for maintenance; the survivor's field ids do not change, so
-    they are not in the map.
-
-    Field order of the result: the survivor's fields in their own order,
-    each matched one followed by its partner's values that it does not
-    already hold, then the absorbed record's unmatched fields in their
-    order.  A matched field unions the two origin sets.  A matched
-    absorbed field maps onto its partner and an unmatched one onto its new
-    position, so the map is one-to-one.  Neither input record is
-    modified: a field that the merge leaves as it is, unmatched or matched
-    but gaining no value and no origin, is shared with its input record,
-    and every other matched field is one new field.  Both records' fields
-    are valid, so the new ones are not checked again.
+    the root keeps its fields, and the other one is absorbed into it.
+    Returns the merged record together with the field map of the absorbed
+    record (its field id -> the merged record's field id), which the pair
+    index needs for maintenance.  A matched absorbed field maps onto its
+    partner and an unmatched one onto its new position, so the map is
+    one-to-one; the survivor's field ids do not change, so they are not in
+    it.  Both records' fields are valid, so the new ones are not checked
+    again.
 
     ``matching`` holds ``(a's field id, b's field id, score)`` triples,
     ids 1-based; the merge reads no score.  This is the one check of a

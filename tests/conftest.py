@@ -1,3 +1,41 @@
+"""Shared fixtures, corpora and oracles.
+
+The oracle suites check each fast path against an independent simple
+implementation, and must agree on labels, not only on counts.  The
+oracles kept here:
+
+- ``simf``: a field pair's similarity, the best value pair's q-gram
+  Jaccard, checked against every index entry;
+- ``reference_cal_bound`` and ``reference_generate_candidates``: the
+  bound and the pass plan, read from every field pair of the live
+  records;
+- ``reference_forced_pairs``: the forced edges, by a scan of every field
+  pair and promoted pair, kept to the refined set;
+- ``reference_merge_super_records``: a merge that renumbers both records
+  and rewrites all their pairs; ``checked_merge_super_records`` checks
+  every matching again and builds every field through ``Field(...)``;
+- ``reference_apply_merge``, which relabels both records' runs and
+  rebuilds them at the best similarity per field pair, and
+  ``eager_apply_merge``, which folds at every merge: index maintenance;
+- ``reference_votes``: every prediction of a matching listed first, then
+  voted;
+- ``BruteIndex``: an index that keeps nothing and recomputes every bound
+  and plan from the live records, for whole runs of the same engine.
+
+Beside their tests live the others: the join against a nested loop over
+the same gram sets and against a build that makes a gram set for every
+value occurrence (``tests/test_pair_index.py``), Kuhn-Munkres against
+exhaustive enumeration (``tests/test_matching.py``), and the pair-counting
+evaluator against O(n^2) enumeration (``tests/test_cli.py``).
+
+``random_store`` draws stores whose merged fields hold several origins.
+On them, renaming every source and attribute in reversed sort order can
+move a promotion, since the ledger votes in origin-name order, and through
+its forced edges a merge: the random-store property in
+``tests/test_engine.py`` can fail on a fresh draw until ROADMAP item 7
+lands, and one such store is pinned there as a strict expected failure.
+"""
+
 import random
 import string
 from collections import defaultdict

@@ -1,3 +1,4 @@
+import ast
 import codecs
 import gc
 import io
@@ -5,6 +6,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -312,6 +314,13 @@ class TestEvaluate:
         report = evaluate(labels, gold)
         assert report.precision == pytest.approx(1 / 3)
         assert report.recall == 1.0
+
+    def test_gold_without_a_same_entity_pair_scores_zero(self):
+        # with no gold pair to find, even labels equal to the gold score 0.0
+        gold = {"a": "e1", "b": "e2"}
+        report = evaluate(gold, gold)
+        assert report.gold_pairs == report.emitted_pairs == report.true_pairs == 0
+        assert report.precision == report.recall == report.f1 == 0.0
 
     def test_missing_label_rejected(self):
         with pytest.raises(ValueError, match="without labels"):
@@ -689,6 +698,31 @@ class TestImports:
         out = run_python("-X", "dev", "-W", "error", "-c", code)
         assert out.returncode == 0, out.stderr
         assert out.stdout == "{1: {1, 2}}\n"
+
+    def test_readme_cites_only_tests_that_exist(self):
+        # each backticked tests/<file>.py::Name[::name] in README names a
+        # class, method or function that the file defines, and each promise
+        # (a bullet of the text before "## Install") cites at least one
+        text = README.read_text(encoding="utf-8")
+        node_id = re.compile(r"(tests/\w+\.py)::(\w+)(?:::(\w+))?")
+        cited = re.findall(r"`(tests/[^`]*::[^`]*)`", text)
+        assert cited
+        for citation in cited:
+            match = node_id.fullmatch(citation)
+            assert match, f"not a test node id: {citation}"
+            path, name, member = match.groups()
+            tree = ast.parse((README.parent / path).read_text(encoding="utf-8"))
+            defined = {node.name: node for node in tree.body
+                       if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+            assert name in defined, f"no {name} in {path}"
+            if member:
+                assert isinstance(defined[name], ast.ClassDef), f"{name} in {path} is not a class"
+                methods = {node.name for node in defined[name].body if isinstance(node, ast.FunctionDef)}
+                assert member in methods, f"no {name}::{member} in {path}"
+        promises = re.split(r"\n(?=- )", text.split("\n## Install\n", 1)[0])[1:]
+        assert promises
+        for promise in promises:
+            assert any(node_id.search(c) for c in re.findall(r"`([^`]*)`", promise)), promise
 
 
 blank_values = st.lists(st.sampled_from(["", " ", "\t\n", "\u00a0", None]), min_size=1, max_size=3)

@@ -156,6 +156,12 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="record 1 has a field that is not a Field"):
             run(store)
 
+    def test_record_ids_that_cannot_be_ordered_rejected(self):
+        # the join and the labels walk the ids in sorted order
+        store = {rid: basic_record(rid, [(AttrOrigin("s1", "name"), "bush")]) for rid in (1, "b")}
+        with pytest.raises(ValueError, match="record ids must be mutually orderable"):
+            run(store)
+
     def test_string_record_ids_resolve(self):
         store = {rid: basic_record(rid, [(AttrOrigin(f"s{rid}", "name"), value)])
                  for rid, value in (("a", "bush"), ("b", "bush"), ("c", "alvarez"))}
